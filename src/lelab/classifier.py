@@ -19,6 +19,7 @@ from .exponents import (
     DerivedConstants,
     QuarticKind,
     SystemParams,
+    bisect_root,
     derive_constants,
     jl_margin,
     largest_root,
@@ -353,15 +354,4 @@ def jl_threshold_dimension(p: float, q: float, rel_tol: float = 1e-12) -> float:
     f_hi = f(d_hi)
     if f_hi <= 0.0:
         raise InvalidInputError("failed to bracket the threshold dimension")
-    for _ in range(200):
-        mid = 0.5 * (d_lo + d_hi)
-        if d_hi - d_lo <= rel_tol * mid:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (f_lo < 0.0) != (fm < 0.0):
-            d_hi, f_hi = mid, fm
-        else:
-            d_lo, f_lo = mid, fm
-    return 0.5 * (d_lo + d_hi)
+    return bisect_root(f, d_lo, d_hi, f_lo, f_hi, rel=rel_tol)

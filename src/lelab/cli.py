@@ -37,7 +37,7 @@ from .classifier import (
     trace_jl_curve,
 )
 from .errors import LelabError
-from .exponents import SystemParams
+from .exponents import SystemParams, derive_constants
 from .radial import RadialSolution, fit_decay, integrate, shoot_ground_state
 from .verify import (
     PohozaevWeights,
@@ -66,17 +66,12 @@ class OutputKind(Enum):
 
 @dataclass(frozen=True)
 class CommandConfig:
-    """Validated invocation: subcommand, output form, destination.
-
-    Runs are seed-free and deterministic by construction; there is no
-    flag to disable that.
-    """
+    """Validated invocation: subcommand, output form, destination."""
 
     subcommand: str
     output: OutputKind
     out_path: Optional[str]
     force: bool
-    deterministic: bool = True
 
 
 class _UsageError(Exception):
@@ -438,8 +433,6 @@ def _cmd_verify(args, config: CommandConfig) -> int:
     params = SystemParams(args.p, args.q, args.d)
     if args.check == "singular":
         radii = [float(x) for x in args.radii.split(",")]
-        from .exponents import derive_constants
-
         c = derive_constants(params)
         rep = check_singular_residual(
             params,
@@ -487,10 +480,7 @@ def run(argv) -> int:
             force=getattr(args, "force", False),
         )
         return _DISPATCH[args.subcommand](args, config)
-    except _UsageError as exc:
-        sys.stderr.write(f"lelab: error: {exc}\n")
-        return 2
-    except LelabError as exc:
+    except (_UsageError, LelabError) as exc:
         sys.stderr.write(f"lelab: error: {exc}\n")
         return 2
 

@@ -158,15 +158,15 @@ def quartic_eval(params: SystemParams, kind: QuarticKind, x: float) -> float:
     return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
 
 
-def _bisect_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    # lo/hi bracket a sign change of a monotone piece; relative width 1e-13.
+def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e-13) -> float:
+    """Root of f in [lo, hi], flo = f(lo) and fhi = f(hi) of opposite sign, to rel*max(1, |root|)."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+        if hi - lo <= rel * max(1.0, abs(mid)):
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -187,7 +187,7 @@ def _roots_on_monotone_pieces(f, breakpoints: list[float]) -> list[float]:
         if flo == 0.0:
             roots.append(lo)
         if (flo < 0.0) != (fhi < 0.0) or (flo != 0.0 and fhi == 0.0):
-            roots.append(_bisect_root(f, lo, hi, flo, fhi))
+            roots.append(bisect_root(f, lo, hi, flo, fhi))
     # dedupe near-coincident endpoint roots
     roots.sort()
     out: list[float] = []

@@ -10,7 +10,9 @@ by regularity at the origin, using an adaptive embedded Dormand-Prince 5(4)
 pair.  Dense output on each accepted step is a two-point Hermite polynomial
 of degree 7; the ODE supplies the higher derivatives at the step endpoints,
 and the radial derivatives carry their own Hermite data so that they are
-reconstructed at derivative scale.  Events (a component hitting zero,
+reconstructed at derivative scale.  A solution builds its coefficient
+tables once, on first use; dense evaluation at any set of radii is then a
+row lookup and one Horner pass.  Events (a component hitting zero,
 blowup) are located by bisection on the dense output.
 
 Shooting reduces the search for positive trajectories to bisection in the
@@ -189,12 +191,9 @@ class RadialSolution:
     def has_derivatives(self) -> bool:
         return self.du is not None and self.dv is not None
 
-    def _require_derivatives(self):
+    def _node_higher_derivatives(self):
         if not self.has_derivatives:
             raise DerivativesMissingError("solution carries no stored derivatives")
-
-    def _node_higher_derivatives(self):
-        self._require_derivatives()
         p, q, d = self.params.p, self.params.q, self.params.d
         r, u, v, du, dv = self.r, self.u, self.v, self.du, self.dv
         c = (d - 1.0) / r
@@ -216,77 +215,68 @@ class RadialSolution:
         )
         return ddu, ddv, dddu, dddv, d4u, d4v
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (N-1)x8 coefficient tables of u, v, u', v', one row per step.
+
+        Built on first use and cached on the instance.  u' and v' carry their
+        own Hermite data (u' through the fourth derivative of u, supplied by
+        the ODE), so reconstructing them does not difference the much larger
+        values; this keeps their relative accuracy at derivative scale even
+        on the tiny near-origin steps.
+        """
+        tables = getattr(self, "_table_cache", None)
+        if tables is None:
+            ddu, ddv, dddu, dddv, d4u, d4v = self._node_higher_derivatives()
+            # Each row is rounded exactly as _hermite_coeffs rounds one step
+            # (libm's scalar pow for h**3, one 8x8 matrix-vector product per
+            # row): at a critical triple the Pohozaev boundary terms cancel to
+            # ~1e-10 of their size, so one ulp would show in the output.
+            powers = np.array([(1.0, h, h * h, h**3) for h in np.diff(self.r).tolist()])
+            nodes = np.array([
+                (self.u, self.du, ddu, dddu),
+                (self.v, self.dv, ddv, dddv),
+                (self.du, ddu, dddu, d4u),
+                (self.dv, ddv, dddv, d4v),
+            ]).transpose(0, 2, 1)
+            data = np.concatenate((powers * nodes[:, :-1], powers * nodes[:, 1:]), axis=-1)
+            coeffs = (_HERMITE_INV @ data[..., None])[..., 0]
+            coeffs.setflags(write=False)
+            tables = tuple(coeffs)
+            object.__setattr__(self, "_table_cache", tables)
+        return tables
+
     def hermite_coefficients(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Degree-7 dense-output coefficients for the values u, v on step i.
 
-        Coefficients are monomial in the local variable tau = (r - r_i)/h_i.
+        Coefficients are monomial in the local variable tau = (r - r_i)/h_i;
+        the rows are read-only views of the solution's cached table.
         """
-        self._require_derivatives()
-        ddu, ddv, dddu, dddv, _, _ = self._cached_higher()
-        h = self.r[i + 1] - self.r[i]
-        cu = _hermite_coeffs(
-            h, self.u[i], self.du[i], ddu[i], dddu[i],
-            self.u[i + 1], self.du[i + 1], ddu[i + 1], dddu[i + 1],
-        )
-        cv = _hermite_coeffs(
-            h, self.v[i], self.dv[i], ddv[i], dddv[i],
-            self.v[i + 1], self.dv[i + 1], ddv[i + 1], dddv[i + 1],
-        )
-        return cu, cv
+        cu, cv, _, _ = self._tables()
+        return cu[i], cv[i]
 
     def derivative_coefficients(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-7 dense-output coefficients for u', v' on step i.
-
-        The derivatives carry their own Hermite data (u' through the fourth
-        derivative of u, supplied by the ODE), so reconstructing them does
-        not difference the much larger values; this keeps their relative
-        accuracy at derivative scale even on the tiny near-origin steps.
-        """
-        self._require_derivatives()
-        ddu, ddv, dddu, dddv, d4u, d4v = self._cached_higher()
-        h = self.r[i + 1] - self.r[i]
-        cdu = _hermite_coeffs(
-            h, self.du[i], ddu[i], dddu[i], d4u[i],
-            self.du[i + 1], ddu[i + 1], dddu[i + 1], d4u[i + 1],
-        )
-        cdv = _hermite_coeffs(
-            h, self.dv[i], ddv[i], dddv[i], d4v[i],
-            self.dv[i + 1], ddv[i + 1], dddv[i + 1], d4v[i + 1],
-        )
-        return cdu, cdv
-
-    def _cached_higher(self):
-        cache = getattr(self, "_higher_cache", None)
-        if cache is None:
-            cache = self._node_higher_derivatives()
-            object.__setattr__(self, "_higher_cache", cache)
-        return cache
+        """Degree-7 dense-output coefficients for u', v' on step i (read-only rows)."""
+        _, _, cdu, cdv = self._tables()
+        return cdu[i], cdv[i]
 
     def evaluate(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense evaluation of (u, v, u', v') at radii inside the grid."""
-        self._require_derivatives()
+        tables = self._tables()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         eps = 1e-12 * max(1.0, self.r[-1])
-        if r_arr.min() < self.r[0] - eps or r_arr.max() > self.r[-1] + eps:
+        if np.any((r_arr < self.r[0] - eps) | (r_arr > self.r[-1] + eps)):
             raise InvalidInputError(
                 f"evaluation radii must lie in [{self.r[0]}, {self.r[-1]}]"
             )
         idx = np.clip(np.searchsorted(self.r, r_arr, side="right") - 1, 0, len(self.r) - 2)
-        u_out = np.empty_like(r_arr)
-        v_out = np.empty_like(r_arr)
-        du_out = np.empty_like(r_arr)
-        dv_out = np.empty_like(r_arr)
-        for i in np.unique(idx):
-            sel = idx == i
-            h = self.r[i + 1] - self.r[i]
-            tau = (r_arr[sel] - self.r[i]) / h
-            cu, cv = self.hermite_coefficients(i)
-            cdu, cdv = self.derivative_coefficients(i)
-            u_out[sel] = _polyval(cu, tau)
-            v_out[sel] = _polyval(cv, tau)
-            du_out[sel] = _polyval(cdu, tau)
-            dv_out[sel] = _polyval(cdv, tau)
-        return u_out, v_out, du_out, dv_out
+        tau = (r_arr - self.r[idx]) / (self.r[idx + 1] - self.r[idx])
+        out = []
+        for table in tables:  # Horner on columns gathered at idx one at a time: no (len(r), 8) copy
+            w = table[idx, 7]
+            for k in range(6, -1, -1):
+                w = w * tau + table[idx, k]
+            out.append(w)
+        return tuple(out)
 
     @property
     def positive(self) -> bool:

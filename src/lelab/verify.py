@@ -33,7 +33,7 @@ from .errors import (
     UndefinedSingularError,
 )
 from .exponents import SystemParams, derive_constants, jl_margin
-from .radial import RadialSolution, RadialStatus, _polyval
+from .radial import RadialSolution, RadialStatus
 
 __all__ = [
     "PohozaevWeights",
@@ -175,31 +175,27 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
 
     Per accepted step the integrand is evaluated at 7-point Gauss-Legendre
     nodes of the degree-7 Hermite reconstruction (split in half when
-    halved, the re-quadrature oracle).  The unsampled core [0, r_start]
-    is closed with the leading constant term; slightly negative
-    interpolant values near a located zero are clamped at zero.
+    halved, the re-quadrature oracle); all nodes go through one
+    sol.evaluate call.  The unsampled core [0, r_start] is closed with the
+    leading constant term; slightly negative interpolant values near a
+    located zero are clamped at zero.
     """
     grid = sol.r
     if r_end > grid[-1] * (1 + 1e-12):
         raise InvalidInputError(f"r_end={r_end} beyond the sampled grid")
     w0 = sol.u[0] if component == "u" else sol.v[0]
-    parts = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
-    for i in range(len(grid) - 1):
-        a = grid[i]
-        if a >= r_end:
-            break
-        b = min(grid[i + 1], r_end)
-        h = grid[i + 1] - grid[i]
-        cu, cv = sol.hermite_coefficients(i)
-        c = cu if component == "u" else cv
-        pieces = ((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if halved else ((a, b),)
-        for lo, hi in pieces:
-            half = 0.5 * (hi - lo)
-            rr = 0.5 * (hi + lo) + half * _GL_NODES
-            tau = (rr - a) / h
-            w = np.maximum(_polyval(c, tau), 0.0)
-            parts.append(half * float(np.dot(_GL_WEIGHTS, w**s * rr**m)))
-    return math.fsum(parts)
+    core = w0**s * grid[0] ** (m + 1.0) / (m + 1.0)
+    n = min(int(np.searchsorted(grid, r_end, side="left")), len(grid) - 1)
+    lo, hi = grid[:n], np.minimum(grid[1 : n + 1], r_end)
+    if halved:
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    half = 0.5 * (hi - lo)
+    rr = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    u, v, _, _ = sol.evaluate(rr)
+    w = np.maximum(u if component == "u" else v, 0.0)
+    # fsum rounds the exact sum, so the order of the parts does not matter
+    return math.fsum([core, *(half * ((w**s * rr**m) @ _GL_WEIGHTS))])
 
 
 def pohozaev_sides(
@@ -221,7 +217,6 @@ def pohozaev_sides(
     p, q, d = sol.params.p, sol.params.q, sol.params.d
     if abs(weights.a1 + weights.a2 - (d - 2.0)) > 1e-12 * max(1.0, abs(d)):
         raise InvalidInputError(f"weights must satisfy a1 + a2 = d - 2, got {weights}")
-    sol._require_derivatives()
     if R > sol.r[-1] * (1 + 1e-12) or R < sol.r[0]:
         raise InvalidInputError(f"R={R} outside the sampled grid")
     Iv = _moment_integral(sol, "v", p + 1.0, d - 1.0, R, halved)
