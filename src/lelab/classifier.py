@@ -102,7 +102,7 @@ class RegimeReport:
 def classify(params: SystemParams) -> RegimeReport:
     """Full regime report for one triple.  Pure function of its input."""
     consts = derive_constants(params)
-    margin = consts.H * consts.H - params.p * params.q * consts.lam * consts.mu
+    margin = jl_margin(params)
     x0_plain = largest_root(params, QuarticKind.PLAIN_H)
     x0_jl = largest_root(params, QuarticKind.JOSEPH_LUNDGREN)
     crit = criticality(params)
@@ -347,11 +347,12 @@ def jl_threshold_dimension(p: float, q: float, rel_tol: float = 1e-12) -> float:
     if f_lo >= 0.0:
         raise InvalidInputError(f"margin not negative at d={d_lo}; cannot bracket the threshold")
     d_hi = d_lo + 1.0
+    f_hi = f(d_hi)
     for _ in range(60):
-        if f(d_hi) > 0.0:
+        if f_hi > 0.0:
             break
         d_hi = d_lo + 2.0 * (d_hi - d_lo)
-    f_hi = f(d_hi)
+        f_hi = f(d_hi)
     if f_hi <= 0.0:
         raise InvalidInputError("failed to bracket the threshold dimension")
     return bisect_root(f, d_lo, d_hi, f_lo, f_hi, rel=rel_tol)

@@ -13,7 +13,8 @@ and the radial derivatives carry their own Hermite data so that they are
 reconstructed at derivative scale.  A solution builds its coefficient
 tables once, on first use; dense evaluation at any set of radii is then a
 row lookup and one Horner pass.  Events (a component hitting zero,
-blowup) are located by bisection on the dense output.
+blowup) are sampled on the dense output of each accepted step at nine
+points, all in one pass, and located by bisection between the samples.
 
 Shooting reduces the search for positive trajectories to bisection in the
 initial value v(0); u(0) = 1 is fixed by the scaling freedom of the system.
@@ -310,58 +311,49 @@ def _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1):
     return cu, cv
 
 
-def _first_crossing(c: np.ndarray, level: float, sign: int, r0: float, h: float) -> Optional[float]:
-    """Earliest tau in (0, 1] where sign*(poly - level) drops to <= 0.
-
-    Scans eight dense samples and bisects the bracketing subinterval to a
-    radius width of EVENT_RTOL * r.  Returns tau or None.
-    """
-    g = lambda t: sign * (_polyval(c, t) - level)
-    taus = np.linspace(0.125, 1.0, 8)
-    prev_t, prev_g = 0.0, g(0.0)
-    if prev_g <= 0.0:
-        # the step start was verified positive when the previous step was
-        # accepted; a nonpositive reconstruction there is roundoff, so keep
-        # the event strictly inside the step
-        return 1e-9
-    for t in taus:
-        gt = g(t)
-        if gt <= 0.0:
-            lo, hi = prev_t, float(t)
-            for _ in range(200):
-                if (hi - lo) * h <= EVENT_RTOL * (r0 + lo * h):
-                    break
-                mid = 0.5 * (lo + hi)
-                if g(mid) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev_t, prev_g = float(t), gt
+# dense samples of each accepted step scanned for events: tau = 0, 1/8, ..., 1
+_EVENT_TAU = np.arange(9) / 8.0
+# event functions sign*(w - level), positive before their event, in order of
+# precedence at equal tau: v and u reaching zero, u and v reaching blowup
+_EVENT_STATUS = (RadialStatus.V_HIT_ZERO, RadialStatus.U_HIT_ZERO) + 2 * (RadialStatus.BLOWUP,)
+_EVENT_LEVEL = np.array([[0.0], [0.0], [BLOWUP_THRESHOLD], [BLOWUP_THRESHOLD]])
+_EVENT_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 
 def _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1):
     """Earliest event on the accepted step, or None.
 
     Candidates: u or v crossing zero from above, |u| or |v| crossing the
-    blowup threshold from below.  A simultaneous zero of u and v (exact
-    symmetric trajectories) is reported as V_HIT_ZERO.
+    blowup threshold from below, all sampled at _EVENT_TAU in one pass.  A
+    simultaneous zero of u and v (exact symmetric trajectories) is reported
+    as V_HIT_ZERO.
     """
     cu, cv = _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1)
-    candidates = []
-    t = _first_crossing(cv, 0.0, +1, r0, h)
-    if t is not None:
-        candidates.append((t, 0, RadialStatus.V_HIT_ZERO))
-    t = _first_crossing(cu, 0.0, +1, r0, h)
-    if t is not None:
-        candidates.append((t, 1, RadialStatus.U_HIT_ZERO))
-    for c in (cu, cv):
-        t = _first_crossing(c, BLOWUP_THRESHOLD, -1, r0, h)
-        if t is not None:
-            candidates.append((t, 2, RadialStatus.BLOWUP))
-    if not candidates:
+    c = np.array((cv, cu, cu, cv))  # one row per event function
+    w = c[:, 7:]
+    for k in range(6, -1, -1):  # the order of _polyval, so samples match its scalar values bitwise
+        w = w * _EVENT_TAU + c[:, k : k + 1]
+    hits = _EVENT_SIGN * (w - _EVENT_LEVEL) <= 0.0
+    if not hits.any():
         return None
-    t_star, _, status = min(candidates)
+    t_star = math.inf
+    for j in np.flatnonzero(hits.any(axis=1)):
+        k = int(hits[j].argmax())
+        # the step start was verified positive when the previous step was
+        # accepted; a nonpositive reconstruction there is roundoff, so keep
+        # the event strictly inside the step (lo = t: nothing to bisect)
+        lo, t = (1e-9, 1e-9) if k == 0 else (float(_EVENT_TAU[k - 1]), float(_EVENT_TAU[k]))
+        level, sign = _EVENT_LEVEL[j, 0], _EVENT_SIGN[j, 0]
+        for _ in range(200):
+            if (t - lo) * h <= EVENT_RTOL * (r0 + lo * h):
+                break
+            mid = 0.5 * (lo + t)
+            if sign * (_polyval(c[j], mid) - level) <= 0.0:
+                t = mid
+            else:
+                lo = mid
+        if t < t_star:
+            t_star, status = t, _EVENT_STATUS[j]
     r_event = r0 + t_star * h
     u = _polyval(cu, t_star)
     v = _polyval(cv, t_star)
@@ -500,6 +492,9 @@ def _shot_side(sol: RadialSolution) -> int:
 
 
 def _bisect_v0(params, v0_lo, v0_hi, r_max, rel_tol, width_rel):
+    # a narrower width can stall the bisection on two adjacent doubles
+    if not 1e-15 <= width_rel < 1.0:
+        raise InvalidInputError(f"width_rel must be in [1e-15, 1), got {width_rel}")
     if not 0.0 < v0_lo < v0_hi:
         raise BadBracketError(f"need 0 < v0_lo < v0_hi, got ({v0_lo}, {v0_hi})")
     sol_lo = integrate(params, v0_lo, r_max, rel_tol)

@@ -249,3 +249,17 @@ def test_find_separating_v0_asymmetric():
 def test_solution_arrays_read_only(slow_decay_3313):
     with pytest.raises(ValueError):
         slow_decay_3313.u[0] = 2.0
+
+
+@pytest.mark.parametrize("width_rel", [0.0, 1e-16, 1.0, -1e-12, float("nan")])
+def test_find_separating_v0_rejects_width_rel(monkeypatch, width_rel):
+    # a width below the spacing of doubles would bisect forever; the check
+    # must come before any shot is integrated
+    from lelab import find_separating_v0, radial
+
+    def no_shots(*args, **kwargs):
+        raise AssertionError("integrated a shot before validating width_rel")
+
+    monkeypatch.setattr(radial, "integrate", no_shots)
+    with pytest.raises(InvalidInputError, match="width_rel"):
+        find_separating_v0(SystemParams(5, 5, 3), (0.6, 1.7), width_rel=width_rel)
