@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import (
     InvalidMoserExponentError,
@@ -178,44 +179,60 @@ def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e
     return 0.5 * (lo + hi)
 
 
-def _roots_on_monotone_pieces(f, breakpoints: list[float]) -> list[float]:
-    """Roots of f given breakpoints splitting its domain into monotone pieces."""
-    roots = []
-    vals = [f(x) for x in breakpoints]
-    for i in range(len(breakpoints) - 1):
-        lo, hi, flo, fhi = breakpoints[i], breakpoints[i + 1], vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots.append(lo)
-        if (flo < 0.0) != (fhi < 0.0) or (flo != 0.0 and fhi == 0.0):
-            roots.append(bisect_root(f, lo, hi, flo, fhi))
-    # dedupe near-coincident endpoint roots
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > 1e-12 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+def _bisect_quartic(c, lo: float, hi: float, flo: float, rel: float = 1e-13) -> float:
+    """bisect_root for the polynomial c = (c0, ..., c4), evaluated inline; f(lo), f(hi) != 0."""
+    c0, c1, c2, c3, c4 = c
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel or hi - lo <= rel * abs(mid):  # hi - lo <= rel * max(1, |mid|)
+            return mid
+        fm = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) != (fm < 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _roots_from_right(c, points):
+    """Real roots of the polynomial c = (c0, ..., c4), largest first, lazily.
+
+    points run downward and split the domain into monotone pieces, each with
+    at most one candidate.  A sweep from the left drops each candidate within
+    1e-12*max(1, |r|) of the last one kept; nothing left of a point can drop
+    a candidate more than that above it, so the sweep is replayed from there.
+    """
+    c0, c1, c2, c3, c4 = c
+    pending: list[float] = []  # candidates not yet yielded, largest first
+    hi = fhi = None
+    for lo in chain(points, [None]):
+        if lo is not None:
+            flo = (((c4 * lo + c3) * lo + c2) * lo + c1) * lo + c0
+            if hi is not None and (flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0)):
+                pending.append(lo if flo == 0.0 else hi if fhi == 0.0 else _bisect_quartic(c, lo, hi, flo))
+            hi, fhi = lo, flo
+        if pending and (lo is None or pending[-1] - lo > 1e-12 * max(1.0, abs(pending[-1]))):
+            kept = [pending.pop()]
+            for r in reversed(pending):
+                if r - kept[-1] > 1e-12 * max(1.0, abs(r)):
+                    kept.append(r)
+            yield from reversed(kept)
+            pending = []
 
 
 def largest_root(params: SystemParams, kind: QuarticKind) -> float:
     """Largest real root x0 of the requested quartic.
 
-    Real roots are isolated by a derivative cascade: the second derivative
-    is a quadratic solved in closed form, its roots split the cubic f' into
-    monotone pieces bisected for critical points, and those in turn split f
-    into monotone pieces bisected for sign changes.  The search interval is
-    [-x_hi, x_hi] with x_hi = 1 + max|c_i| (Cauchy bound), beyond which the
-    monic quartic is provably nonzero.  Bisection refines each root to
-    relative width 1e-13, well inside the 1e-12 contract.
+    The roots of f'' (a quadratic, solved exactly) split f' into monotone
+    pieces, whose roots split f into monotone pieces, inside the Cauchy
+    bound x_hi = 1 + max|c_i|.  Both levels are scanned from the right and
+    only as far as needed, usually one bisection each.  Roots are refined
+    to relative width 1e-13, well inside the 1e-12 contract; of two roots
+    within 1e-12 the smaller is returned.
     """
-    c0, c1, c2, c3, c4 = quartic_coefficients(params, kind)
-
-    def f(x: float) -> float:
-        return (((x + c3) * x + c2) * x + c1) * x + c0
-
-    def fp(x: float) -> float:
-        return ((4.0 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
-
+    c0, c1, c2, c3, _ = c = quartic_coefficients(params, kind)
     x_hi = 1.0 + max(abs(c0), abs(c1), abs(c2), abs(c3))
 
     # f'' = 12 x^2 + 6 c3 x + 2 c2, solved exactly
@@ -223,18 +240,16 @@ def largest_root(params: SystemParams, kind: QuarticKind) -> float:
     inflections = []
     if disc > 0.0:
         s = math.sqrt(disc)
-        inflections = sorted(((-6.0 * c3 - s) / 24.0, (-6.0 * c3 + s) / 24.0))
+        inflections = sorted(((-6.0 * c3 - s) / 24.0, (-6.0 * c3 + s) / 24.0), reverse=True)
     elif disc == 0.0:
         inflections = [-c3 / 4.0]
 
-    pieces = [-x_hi] + [x for x in inflections if -x_hi < x < x_hi] + [x_hi]
-    criticals = _roots_on_monotone_pieces(fp, pieces)
-
-    pieces = [-x_hi] + [x for x in criticals if -x_hi < x < x_hi] + [x_hi]
-    roots = _roots_on_monotone_pieces(f, pieces)
-    if not roots:
-        raise NoRealRootError(f"quartic {kind.value} has no real root for {params}")
-    return roots[-1]
+    # f' as a quartic with leading coefficient 0, since 0*x + 4 is exactly 4
+    fp = (c1, 2.0 * c2, 3.0 * c3, 4.0, 0.0)
+    criticals = _roots_from_right(fp, [x_hi] + [x for x in inflections if -x_hi < x < x_hi] + [-x_hi])
+    for root in _roots_from_right(c, chain([x_hi], (x for x in criticals if -x_hi < x < x_hi), [-x_hi])):
+        return root
+    raise NoRealRootError(f"quartic {kind.value} has no real root for {params}")
 
 
 def jl_margin(params: SystemParams) -> float:

@@ -141,6 +141,9 @@ def test_largest_root_matches_cascade_at_edges(p, q, d):
     (1.0, 0.0, -2.0, 0.0, 1.0),    # (x^2 - 1)^2: two exact double roots
     (0.0, 0.0, -1.0, 0.0, 1.0),    # x^2 (x^2 - 1): exact roots at breakpoints
     (24.0, -50.0, 35.0, -10.0, 1.0),  # (x-1)(x-2)(x-3)(x-4)
+    # critical points near -1.2e-12, 0 and 5e-13: the sweep keeps the first
+    # two, and drops the third, which lies within 1e-12 of the second
+    (-1.0, 0.0, -1.2e-24, 4.0 * 0.7e-12 / 3.0, 1.0),
 ])
 def test_largest_root_matches_cascade_on_constructed_quartics(monkeypatch, coeffs):
     assert _largest_root_bits(monkeypatch, coeffs) == _bits(_reference_largest_root(coeffs))
