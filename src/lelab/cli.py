@@ -5,7 +5,8 @@ numeric output uses 17 significant digits with locale-independent
 formatting, so identical argument vectors produce byte-identical output.
 
 Exit codes: 0 success (all requested verifications passed), 1 when a
-requested verification reports passed=false, 2 on invalid input.
+requested verification reports passed=false, 2 on invalid input or a
+numerical failure (one line on stderr, no traceback).
 
 CSV schemas (stable, versioned by a leading comment line):
 
@@ -482,6 +483,9 @@ def run(argv) -> int:
         return _DISPATCH[args.subcommand](args, config)
     except (_UsageError, LelabError) as exc:
         sys.stderr.write(f"lelab: error: {exc}\n")
+        return 2
+    except ArithmeticError as exc:  # a numerical failure no typed check caught
+        sys.stderr.write(f"lelab: error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -265,7 +265,7 @@ class RadialSolution:
         tables = self._tables()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         eps = 1e-12 * max(1.0, self.r[-1])
-        if np.any((r_arr < self.r[0] - eps) | (r_arr > self.r[-1] + eps)):
+        if not np.all((r_arr >= self.r[0] - eps) & (r_arr <= self.r[-1] + eps)):  # NaN fails too
             raise InvalidInputError(
                 f"evaluation radii must lie in [{self.r[0]}, {self.r[-1]}]"
             )
@@ -380,15 +380,18 @@ def integrate(
     """
     if not v0 > 0.0 or not u0 > 0.0:
         raise InvalidInputError(f"need u0 > 0 and v0 > 0, got u0={u0}, v0={v0}")
-    if not r_max > R_START:
-        raise InvalidInputError(f"need r_max > {R_START}")
+    if not R_START < r_max < math.inf:
+        raise InvalidInputError(f"need {R_START} < r_max < inf, got r_max={r_max}")
     if not 1e-13 <= rel_tol <= 1e-6:
         raise InvalidInputError(f"rel_tol must be in [1e-13, 1e-6], got {rel_tol}")
 
     p, q, d = params.p, params.q, params.d
     dm1 = d - 1.0
-    vp = _signed_pow(v0, p)
-    uq = _signed_pow(u0, q)
+    try:
+        vp = _signed_pow(v0, p)
+        uq = _signed_pow(u0, q)
+    except OverflowError:
+        raise InvalidInputError(f"v0**p or u0**q overflows the series start, u0={u0}, v0={v0}") from None
 
     r = R_START
     y = (
@@ -411,27 +414,30 @@ def integrate(
             event_radius = r
             break
 
-        # DP54 stages
-        ks = [k1]
-        for ci, ai in zip(_DP_C, _DP_A):
-            yi = tuple(
-                y[j] + h * sum(aij * ks[m][j] for m, aij in enumerate(ai))
+        # DP54 stages; a trial step whose stages overflow is rejected
+        try:
+            ks = [k1]
+            for ci, ai in zip(_DP_C, _DP_A):
+                yi = tuple(
+                    y[j] + h * sum(aij * ks[m][j] for m, aij in enumerate(ai))
+                    for j in range(4)
+                )
+                ks.append(_rhs(r + ci * h, *yi, p, q, dm1))
+            y_new = tuple(
+                y[j] + h * sum(bj * ks[m][j] for m, bj in enumerate(_DP_B))
                 for j in range(4)
             )
-            ks.append(_rhs(r + ci * h, *yi, p, q, dm1))
-        y_new = tuple(
-            y[j] + h * sum(bj * ks[m][j] for m, bj in enumerate(_DP_B))
-            for j in range(4)
-        )
-        k7 = _rhs(r + h, *y_new, p, q, dm1)
-        ks.append(k7)
+            k7 = _rhs(r + h, *y_new, p, q, dm1)
+            ks.append(k7)
 
-        err_sq = 0.0
-        for j in range(4):
-            e_j = h * sum(ej * ks[m][j] for m, ej in enumerate(_DP_E))
-            scale = _ATOL_FLOOR + rel_tol * max(abs(y[j]), abs(y_new[j]))
-            err_sq += (e_j / scale) ** 2
-        err = math.sqrt(err_sq / 4.0)
+            err_sq = 0.0
+            for j in range(4):
+                e_j = h * sum(ej * ks[m][j] for m, ej in enumerate(_DP_E))
+                scale = _ATOL_FLOOR + rel_tol * max(abs(y[j]), abs(y_new[j]))
+                err_sq += (e_j / scale) ** 2
+            err = math.sqrt(err_sq / 4.0)
+        except OverflowError:
+            err = math.inf
 
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)

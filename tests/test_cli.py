@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lelab import SystemParams, classify, grid_classify, integrate
 from lelab.cli import read_grid_csv, read_radial_csv, run
@@ -163,3 +164,35 @@ def test_verify_subcommands_all_pass(capsys):
         assert rc == 0, out
         doc = json.loads(out)
         assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "-p", "5", "-q", "5", "-d", "3", "--v0", "1e200"],
+    ["shoot", "-p", "5", "-q", "5", "-d", "3", "--v0", "1", "--r-max", "inf"],
+])
+def test_numerical_failures_exit_2_on_one_line(argv, capsys):
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_overflowing_trial_stages_end_the_shot_cleanly(capsys):
+    rc = run(["shoot", "-p", "9", "-q", "2", "-d", "5", "--v0", "5e7", "--r-max", "1", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "step_underflow"
+
+
+def test_leftover_arithmetic_error_exits_2(monkeypatch, capsys):
+    from lelab import cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "integrate", overflow)
+    rc = run(["shoot", "-p", "3", "-q", "3", "-d", "13", "--v0", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "lelab: error: OverflowError: (34, 'Numerical result out of range')\n"

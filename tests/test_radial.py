@@ -124,6 +124,20 @@ def test_integrate_validation():
         integrate(params, 1.0, 10.0, rel_tol=1e-3)
     with pytest.raises(InvalidInputError):
         integrate(params, 1.0, 10.0, rel_tol=1e-14)
+    for r_max in (float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError, match="r_max"):
+            integrate(params, 1.0, r_max)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        integrate(SystemParams(5, 5, 3), 1e200, 1.0)
+
+
+def test_overflowing_trial_stage_is_a_rejected_step():
+    # v0**9 r_start**2 is far above u0, so the first trial stages overflow
+    # |v|**p; each is rejected until the step falls below the floor
+    sol = integrate(SystemParams(9, 2, 5), 5e7, 1.0)
+    assert sol.status is RadialStatus.STEP_UNDERFLOW
+    assert sol.event_radius == 1e-6
+    assert len(sol.r) == 1
 
 
 def test_shoot_ground_state_553(ground_state_553):
@@ -224,6 +238,12 @@ def test_evaluate_matches_nodes(slow_decay_3313):
 def test_evaluate_outside_grid_raises(slow_decay_3313):
     with pytest.raises(InvalidInputError):
         slow_decay_3313.evaluate(2000.0)
+
+
+def test_evaluate_rejects_nan(slow_decay_3313):
+    for r in (float("nan"), [1.0, float("nan")]):
+        with pytest.raises(InvalidInputError):
+            slow_decay_3313.evaluate(r)
 
 
 def test_integrate_is_deterministic():
