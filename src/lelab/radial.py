@@ -378,8 +378,8 @@ def integrate(
     run stops at the earliest event with the interpolated event point
     appended to the grid.
     """
-    if not v0 > 0.0 or not u0 > 0.0:
-        raise InvalidInputError(f"need u0 > 0 and v0 > 0, got u0={u0}, v0={v0}")
+    if not (0.0 < v0 < math.inf and 0.0 < u0 < math.inf):
+        raise InvalidInputError(f"need finite u0 > 0 and v0 > 0, got u0={u0}, v0={v0}")
     if not R_START < r_max < math.inf:
         raise InvalidInputError(f"need {R_START} < r_max < inf, got r_max={r_max}")
     if not 1e-13 <= rel_tol <= 1e-6:

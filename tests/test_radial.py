@@ -129,6 +129,8 @@ def test_integrate_validation():
             integrate(params, 1.0, r_max)
     with pytest.raises(InvalidInputError, match="overflows"):
         integrate(SystemParams(5, 5, 3), 1e200, 1.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        integrate(params, float("inf"), 10.0)
 
 
 def test_overflowing_trial_stage_is_a_rejected_step():
