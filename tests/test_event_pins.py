@@ -4,12 +4,17 @@ Each case records the status, the event radius, the row count and the
 last row (u, v, u', v') as hex floats.  Event scanning does not feed back
 into step selection, so any change to how events are sampled, bracketed
 or bisected that is meant to be behaviour-preserving must leave all of
-these bits alone.
+these bits alone.  Two longer runs are pinned on every row: a sha256 of
+all (r, u, v, u', v') as little-endian float64 covers the step kernel and
+step selection as well as the events.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from lelab import RadialStatus, SystemParams, integrate
+from lelab import RadialStatus, SystemParams, integrate, shoot_ground_state
 
 # (p, q, d), v0, r_max, rel_tol, status, event radius, rows, last (u, v, u', v')
 PINS = [
@@ -66,3 +71,27 @@ def test_event_pins(triple, v0, r_max, rel_tol, status, event_hex, rows, last):
     assert len(sol.r) == rows
     got = tuple(float(w[-1]).hex() for w in (sol.u, sol.v, sol.du, sol.dv))
     assert got == last
+
+
+def _trajectory_sha256(sol):
+    rows = np.column_stack((sol.r, sol.u, sol.v, sol.du, sol.dv)).astype("<f8")
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def test_whole_trajectory_pin_integrate():
+    sol = integrate(SystemParams(3, 3, 13), 1.0, 1000.0, 1e-11)
+    assert sol.status is RadialStatus.COMPLETED
+    assert len(sol.r) == 1366
+    assert _trajectory_sha256(sol) == (
+        "2d9c9b0e374c2f19aedae0ee76040ba1a70b0de398687120b28303a632273da0"
+    )
+
+
+def test_whole_trajectory_pin_ground_state():
+    v0, sol = shoot_ground_state(SystemParams(5, 5, 3), (0.6, 1.7), r_max=150.0, rel_tol=1e-11)
+    assert v0.hex() == "0x1.ffffffffffbffp-1"
+    assert sol.status is RadialStatus.COMPLETED
+    assert len(sol.r) == 509
+    assert _trajectory_sha256(sol) == (
+        "4646ae6035f0bda0a3461cf012ec8ef114ffd5640499fb7c974f2d139ccaa9fc"
+    )
