@@ -82,6 +82,17 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# the same tableau unpacked for the written-out step in _dp54_step
+_C2, _C3, _C4, _C5, _C6 = _DP_C
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+) = _DP_A
+_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 def _signed_pow(w: float, e: float) -> float:
@@ -302,6 +313,58 @@ def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     return dddu, dddv
 
 
+# Relative margin of the hull test.  Let D be one component's Hermite data
+# on a step, (w0, h w0', h^2 w0'', h^3 w0''', w1, ...) as _hermite_coeffs
+# builds it, and P the exact degree-7 interpolant of D.  _scan_events
+# samples fl(Horner(fl(_HERMITE_INV @ D), tau)) at tau = k/8, and each
+# sample is within sum_j e_j |D_j| of P(tau), where
+#   e_j = (1 + g14) sum_k (|_HERMITE_INV - H^-1|_kj + g8 |H^-1|_kj) + g14 sum_k |H^-1|_kj
+# and g_n = n u / (1 - n u), u = 2^-53: the error of the computed inverse,
+# of the 8-term products and of Horner on [0, 1].  Against the exact
+# rational inverse, max_j e_j = 4.453e-12, set by the inverse's entry
+# errors (up to 1.6e-12 on entries of size 84).  The computed control
+# points are within 6u sum|D| of the exact ones, and rounding 1e8 - m
+# moves the upper bound by at most 2^-27, below 1e-4 m whenever a control
+# point can come near 1e8 (then sum|D| >= 5e7).  So m = 5e-12 sum|D|
+# covers all of it: with every computed control point in (m, 1e8 - m), the
+# exact ones lie in (4.46e-12 sum|D|, 1e8 - 4.46e-12 sum|D|), so does P by
+# the convex hull property, and no sample can reach 0 or 1e8.
+_HULL_MARGIN = 5e-12
+
+
+def _hull_clear(h, y0, k0, ddd0, y1, k1, ddd1):
+    """True when no dense sample of u or v on the step can reach 0 or blowup.
+
+    The Bernstein control points of each degree-7 Hermite polynomial on
+    [0, 1] bound it (its convex hull) and come from the endpoint data
+    directly.  When all of them lie in (m, BLOWUP_THRESHOLD - m), m the
+    _HULL_MARGIN bound above, _scan_events provably returns None, so the
+    caller may skip it.  A non-finite value fails a comparison and gives
+    False, as does any step the margin cannot clear.
+    """
+    hh = h * h
+    h3 = h**3
+    for j in (0, 1):
+        w0, d0, dd0, t0 = y0[j], h * k0[j], hh * k0[j + 2], h3 * ddd0[j]
+        w1, d1, dd1, t1 = y1[j], h * k1[j], hh * k1[j + 2], h3 * ddd1[j]
+        m = _HULL_MARGIN * (
+            abs(w0) + abs(d0) + abs(dd0) + abs(t0) + abs(w1) + abs(d1) + abs(dd1) + abs(t1)
+        )
+        top = BLOWUP_THRESHOLD - m
+        if not (
+            m < w0 < top
+            and m < w1 < top
+            and m < w0 + d0 / 7.0 < top
+            and m < w1 - d1 / 7.0 < top
+            and m < w0 + 2.0 * d0 / 7.0 + dd0 / 42.0 < top
+            and m < w1 - 2.0 * d1 / 7.0 + dd1 / 42.0 < top
+            and m < w0 + 3.0 * d0 / 7.0 + dd0 / 14.0 + t0 / 210.0 < top
+            and m < w1 - 3.0 * d1 / 7.0 + dd1 / 14.0 - t1 / 210.0 < top
+        ):
+            return False
+    return True
+
+
 def _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1):
     # k holds (u', v', u'', v''); third derivatives come from the ODE
     ddd0 = _third_derivs(r0, k0[0], k0[1], k0[2], k0[3], y0[0], y0[1], p, q, dm1)
@@ -362,6 +425,99 @@ def _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1):
     return r_event, status, (u, v, du, dv)
 
 
+def _dp54_step(r, h, y, k1, p, q, dm1, rel_tol):
+    """One Dormand-Prince 5(4) trial step from (r, y) with FSAL slope k1.
+
+    Returns (y_new, k7, err), k7 being the slope at r + h; a trial step
+    whose stages or error norm overflow returns (None, None, inf), which
+    the caller rejects.  Stage i holds u, v, u', v' in plain floats and its
+    slope is (dui, dvi, ddui, ddvi).  Every weighted sum runs left to right
+    from the int 0, as sum() does on Python 3.11 (so a -0.0 sum becomes
+    +0.0), and the zero weights _B2 and _E2 keep their terms, since
+    0.0 * inf is NaN: the bits are those of the generic stage loop that
+    tests/test_kernel_reference.py keeps.
+    """
+    u, v, du, dv = y
+    du1, dv1, ddu1, ddv1 = k1
+    try:
+        u2 = u + h * (0 + _A21 * du1)
+        v2 = v + h * (0 + _A21 * dv1)
+        du2 = du + h * (0 + _A21 * ddu1)
+        dv2 = dv + h * (0 + _A21 * ddv1)
+        c = dm1 / (r + _C2 * h)
+        ddu2 = -c * du2 - (math.copysign(abs(v2) ** p, v2) if v2 else 0.0)
+        ddv2 = -c * dv2 - (math.copysign(abs(u2) ** q, u2) if u2 else 0.0)
+
+        u3 = u + h * (0 + _A31 * du1 + _A32 * du2)
+        v3 = v + h * (0 + _A31 * dv1 + _A32 * dv2)
+        du3 = du + h * (0 + _A31 * ddu1 + _A32 * ddu2)
+        dv3 = dv + h * (0 + _A31 * ddv1 + _A32 * ddv2)
+        c = dm1 / (r + _C3 * h)
+        ddu3 = -c * du3 - (math.copysign(abs(v3) ** p, v3) if v3 else 0.0)
+        ddv3 = -c * dv3 - (math.copysign(abs(u3) ** q, u3) if u3 else 0.0)
+
+        u4 = u + h * (0 + _A41 * du1 + _A42 * du2 + _A43 * du3)
+        v4 = v + h * (0 + _A41 * dv1 + _A42 * dv2 + _A43 * dv3)
+        du4 = du + h * (0 + _A41 * ddu1 + _A42 * ddu2 + _A43 * ddu3)
+        dv4 = dv + h * (0 + _A41 * ddv1 + _A42 * ddv2 + _A43 * ddv3)
+        c = dm1 / (r + _C4 * h)
+        ddu4 = -c * du4 - (math.copysign(abs(v4) ** p, v4) if v4 else 0.0)
+        ddv4 = -c * dv4 - (math.copysign(abs(u4) ** q, u4) if u4 else 0.0)
+
+        u5 = u + h * (0 + _A51 * du1 + _A52 * du2 + _A53 * du3 + _A54 * du4)
+        v5 = v + h * (0 + _A51 * dv1 + _A52 * dv2 + _A53 * dv3 + _A54 * dv4)
+        du5 = du + h * (0 + _A51 * ddu1 + _A52 * ddu2 + _A53 * ddu3 + _A54 * ddu4)
+        dv5 = dv + h * (0 + _A51 * ddv1 + _A52 * ddv2 + _A53 * ddv3 + _A54 * ddv4)
+        c = dm1 / (r + _C5 * h)
+        ddu5 = -c * du5 - (math.copysign(abs(v5) ** p, v5) if v5 else 0.0)
+        ddv5 = -c * dv5 - (math.copysign(abs(u5) ** q, u5) if u5 else 0.0)
+
+        u6 = u + h * (0 + _A61 * du1 + _A62 * du2 + _A63 * du3 + _A64 * du4 + _A65 * du5)
+        v6 = v + h * (0 + _A61 * dv1 + _A62 * dv2 + _A63 * dv3 + _A64 * dv4 + _A65 * dv5)
+        du6 = du + h * (0 + _A61 * ddu1 + _A62 * ddu2 + _A63 * ddu3 + _A64 * ddu4 + _A65 * ddu5)
+        dv6 = dv + h * (0 + _A61 * ddv1 + _A62 * ddv2 + _A63 * ddv3 + _A64 * ddv4 + _A65 * ddv5)
+        c = dm1 / (r + _C6 * h)
+        ddu6 = -c * du6 - (math.copysign(abs(v6) ** p, v6) if v6 else 0.0)
+        ddv6 = -c * dv6 - (math.copysign(abs(u6) ** q, u6) if u6 else 0.0)
+
+        u7 = u + h * (0 + _B1 * du1 + _B2 * du2 + _B3 * du3 + _B4 * du4 + _B5 * du5 + _B6 * du6)
+        v7 = v + h * (0 + _B1 * dv1 + _B2 * dv2 + _B3 * dv3 + _B4 * dv4 + _B5 * dv5 + _B6 * dv6)
+        du7 = du + h * (
+            0 + _B1 * ddu1 + _B2 * ddu2 + _B3 * ddu3 + _B4 * ddu4 + _B5 * ddu5 + _B6 * ddu6
+        )
+        dv7 = dv + h * (
+            0 + _B1 * ddv1 + _B2 * ddv2 + _B3 * ddv3 + _B4 * ddv4 + _B5 * ddv5 + _B6 * ddv6
+        )
+        c = dm1 / (r + h)
+        ddu7 = -c * du7 - (math.copysign(abs(v7) ** p, v7) if v7 else 0.0)
+        ddv7 = -c * dv7 - (math.copysign(abs(u7) ** q, u7) if u7 else 0.0)
+
+        eu = h * (
+            0 + _E1 * du1 + _E2 * du2 + _E3 * du3 + _E4 * du4 + _E5 * du5 + _E6 * du6 + _E7 * du7
+        )
+        ev = h * (
+            0 + _E1 * dv1 + _E2 * dv2 + _E3 * dv3 + _E4 * dv4 + _E5 * dv5 + _E6 * dv6 + _E7 * dv7
+        )
+        edu = h * (
+            0 + _E1 * ddu1 + _E2 * ddu2 + _E3 * ddu3 + _E4 * ddu4 + _E5 * ddu5 + _E6 * ddu6
+            + _E7 * ddu7
+        )
+        edv = h * (
+            0 + _E1 * ddv1 + _E2 * ddv2 + _E3 * ddv3 + _E4 * ddv4 + _E5 * ddv5 + _E6 * ddv6
+            + _E7 * ddv7
+        )
+        err_sq = (
+            0.0
+            + (eu / (_ATOL_FLOOR + rel_tol * max(abs(u), abs(u7)))) ** 2
+            + (ev / (_ATOL_FLOOR + rel_tol * max(abs(v), abs(v7)))) ** 2
+            + (edu / (_ATOL_FLOOR + rel_tol * max(abs(du), abs(du7)))) ** 2
+            + (edv / (_ATOL_FLOOR + rel_tol * max(abs(dv), abs(dv7)))) ** 2
+        )
+    except OverflowError:
+        return None, None, math.inf
+    return (u7, v7, du7, dv7), (du7, dv7, ddu7, ddv7), math.sqrt(err_sq / 4.0)
+
+
 def integrate(
     params: SystemParams,
     v0: float,
@@ -404,6 +560,7 @@ def integrate(
     rows = [y]
     k1 = _rhs(r, *y, p, q, dm1)
     h = 0.1 * r
+    ddd0 = None
     status = RadialStatus.COMPLETED
     event_radius: Optional[float] = None
 
@@ -414,48 +571,31 @@ def integrate(
             event_radius = r
             break
 
-        # DP54 stages; a trial step whose stages overflow is rejected
-        try:
-            ks = [k1]
-            for ci, ai in zip(_DP_C, _DP_A):
-                yi = tuple(
-                    y[j] + h * sum(aij * ks[m][j] for m, aij in enumerate(ai))
-                    for j in range(4)
-                )
-                ks.append(_rhs(r + ci * h, *yi, p, q, dm1))
-            y_new = tuple(
-                y[j] + h * sum(bj * ks[m][j] for m, bj in enumerate(_DP_B))
-                for j in range(4)
-            )
-            k7 = _rhs(r + h, *y_new, p, q, dm1)
-            ks.append(k7)
-
-            err_sq = 0.0
-            for j in range(4):
-                e_j = h * sum(ej * ks[m][j] for m, ej in enumerate(_DP_E))
-                scale = _ATOL_FLOOR + rel_tol * max(abs(y[j]), abs(y_new[j]))
-                err_sq += (e_j / scale) ** 2
-            err = math.sqrt(err_sq / 4.0)
-        except OverflowError:
-            err = math.inf
-
+        y_new, k7, err = _dp54_step(r, h, y, k1, p, q, dm1, rel_tol)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.2)
             continue
 
-        event = _scan_events(r, h, y, k1, y_new, k7, p, q, dm1)
-        if event is not None:
-            r_event, status, y_event = event
-            rows_r.append(r_event)
-            rows.append(y_event)
-            event_radius = r_event
-            break
+        # third derivatives at the step start are those of the previous end;
+        # the first ones are computed here, where the scan first needs them
+        if ddd0 is None:
+            ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
+        ddd1 = _third_derivs(r + h, *k7, y_new[0], y_new[1], p, q, dm1)
+        if not _hull_clear(h, y, k1, ddd0, y_new, k7, ddd1):
+            event = _scan_events(r, h, y, k1, y_new, k7, p, q, dm1)
+            if event is not None:
+                r_event, status, y_event = event
+                rows_r.append(r_event)
+                rows.append(y_event)
+                event_radius = r_event
+                break
 
         r = r + h
         rows_r.append(r)
         rows.append(y_new)
         y = y_new
         k1 = k7
+        ddd0 = ddd1
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
         h *= factor
 
