@@ -7,14 +7,19 @@ The system in radial coordinates,
 
 is integrated from r_start = 1e-6 with a second-order series start forced
 by regularity at the origin, using an adaptive embedded Dormand-Prince 5(4)
-pair.  Dense output on each accepted step is a two-point Hermite polynomial
-of degree 7; the ODE supplies the higher derivatives at the step endpoints,
-and the radial derivatives carry their own Hermite data so that they are
-reconstructed at derivative scale.  A solution builds its coefficient
-tables once, on first use; dense evaluation at any set of radii is then a
-row lookup and one Horner pass.  Events (a component hitting zero,
-blowup) are sampled on the dense output of each accepted step at nine
-points, all in one pass, and located by bisection between the samples.
+pair whose stages are written out on plain floats.  Dense output on each
+accepted step is a two-point Hermite polynomial of degree 7; the ODE
+supplies the higher derivatives at the step endpoints, and the radial
+derivatives carry their own Hermite data so that they are reconstructed at
+derivative scale.  A solution builds its coefficient tables once, on first
+use; dense evaluation at any set of radii is then a row lookup and one
+Horner pass.  Events (a component hitting zero, blowup) are sampled on the
+dense output of each accepted step at nine points, all in one pass, and
+located by bisection between the samples.  Before that, a hull pre-test
+builds the Bernstein control points of the step's polynomials of u and v
+from the endpoint data; when all of them lie inside (m, 1e8 - m), with m
+a proved rounding margin of 5e-12 times the size of the data, no sample
+can hit, and the step is not sampled at all.
 
 Shooting reduces the search for positive trajectories to bisection in the
 initial value v(0); u(0) = 1 is fixed by the scaling freedom of the system.
@@ -577,7 +582,8 @@ def integrate(
             continue
 
         # third derivatives at the step start are those of the previous end;
-        # the first ones are computed here, where the scan first needs them
+        # the first ones wait for the first accepted step, where the scan
+        # would compute them, so an overflow there raises no earlier
         if ddd0 is None:
             ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
         ddd1 = _third_derivs(r + h, *k7, y_new[0], y_new[1], p, q, dm1)

@@ -126,23 +126,24 @@ def test_scan_matches_reference_on_random_steps():
 # --- hull pre-test: whenever _hull_clear says a step is clear, the scan is empty
 
 
-def _hull_and_scan(r0, h, y0, y1, p, q, dm1):
+def _endpoint_derivs(r0, h, y0, y1, p, q, dm1):
+    """Slopes and third derivatives at both ends of a step, as integrate forms them."""
     k0 = _rhs(r0, *y0, p, q, dm1)
     k1 = _rhs(r0 + h, *y1, p, q, dm1)
     ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
     ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
+    return k0, k1, ddd0, ddd1
+
+
+def _scaled(h, w0, d0, dd0, t0, w1, d1, dd1, t1):
+    """One component's Hermite data: value and h^k times the k-th derivative, k = 1..3."""
+    return w0, h * d0, h * h * dd0, h**3 * t0, w1, h * d1, h * h * dd1, h**3 * t1
+
+
+def _hull_and_scan(r0, h, y0, y1, p, q, dm1):
+    k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
     clear = _hull_clear(h, y0, k0, ddd0, y1, k1, ddd1)
     return clear, _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1)
-
-
-def _u_data_sum(r0, h, y0, y1, p, q, dm1):
-    """sum |D| of u's Hermite data on the step, as the hull margin scales it."""
-    k0 = _rhs(r0, *y0, p, q, dm1)
-    k1 = _rhs(r0 + h, *y1, p, q, dm1)
-    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
-    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
-    return sum(abs(w) for w in (y0[0], h * k0[0], h * h * k0[2], h**3 * ddd0[0],
-                                y1[0], h * k1[0], h * h * k1[2], h**3 * ddd1[0]))
 
 
 def _constructed_steps(rng, n):
@@ -175,18 +176,17 @@ def _constructed_steps(rng, n):
         v0, v1 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         dv0, dv1 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         y0 = [base, v0, du0, dv0]
-        y1 = [0.0 if not interior else base, v1, du1, dv1]
-        scale = _u_data_sum(r0, h, y0, y1, p, q, dm1)
-        for offset in (0.0, 3 * 5e-324, 1e-16 * scale, 1e-13 * scale, 1e-11 * scale,
-                       1e-10 * scale):
-            if top and offset == 3 * 5e-324:
-                offset = 3 * math.ulp(BLOWUP_THRESHOLD)
+        y1 = [base if interior else 0.0, v1, du1, dv1]  # an end value is set below
+        k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
+        scale = sum(map(abs, _scaled(h, y0[0], k0[0], k0[2], ddd0[0],
+                                     y1[0], k1[0], k1[2], ddd1[0])))
+        ulps = 3 * math.ulp(BLOWUP_THRESHOLD if top else 0.0)
+        for offset in (0.0, ulps, 1e-16 * scale, 1e-13 * scale, 1e-11 * scale, 1e-10 * scale):
             for sign in (1.0, -1.0):
                 target = BLOWUP_THRESHOLD - sign * offset if top else sign * offset
                 a, b = list(y0), list(y1)
                 if interior:
-                    k0 = _rhs(r0, *a, p, q, dm1)
-                    k1 = _rhs(r0 + h, *b, p, q, dm1)
+                    k0, k1, _, _ = _endpoint_derivs(r0, h, a, b, p, q, dm1)
                     cu, _ = _step_coeffs(r0, h, a, k0, b, k1, p, q, dm1)
                     w = _polyval(cu, np.linspace(0.0, 1.0, 4001))
                     shift = target - (w.max() if top else w.min())
@@ -312,24 +312,26 @@ def test_hull_decision_matches_bernstein_coefficients():
     for _ in range(3000):
         h = 10.0 ** rng.uniform(-3.0, 1.0)
         level = rng.choice((0.0, BLOWUP_THRESHOLD))
-        # scaled data h^k w^(k) of moderate size, so that the control
-        # points fall on both sides of the band edges
-        ends = [[level + rng.uniform(-0.3, 1.0) * (-1.0 if level else 1.0) for _ in range(2)]
-                + [rng.uniform(-s, s) / h**k for k, s in ((1, 1.0), (2, 4.0), (3, 40.0))
-                   for _ in range(2)] for _ in range(2)]
-        (u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0), (u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1) = ends
+        # u and v data (value and three derivatives at each end) whose scaled
+        # values are moderate, so control points fall on both sides of the band edges
+        comps = []
+        for _ in range(2):
+            w = [level + rng.uniform(-0.3, 1.0) * (-1.0 if level else 1.0) for _ in range(2)]
+            d = [[rng.uniform(-s, s) / h**k for k, s in ((1, 1.0), (2, 4.0), (3, 40.0))]
+                 for _ in range(2)]
+            comps.append((w[0], *d[0], w[1], *d[1]))
+        (u0, du0, ddu0, dddu0, u1, du1, ddu1, dddu1) = comps[0]
+        (v0, dv0, ddv0, dddv0, v1, dv1, ddv1, dddv1) = comps[1]
         args = (h, (u0, v0), (du0, dv0, ddu0, ddv0), (dddu0, dddv0),
                 (u1, v1), (du1, dv1, ddu1, ddv1), (dddu1, dddv1))
         expected, ambiguous = True, False
-        for data in ((u0, du0, ddu0, dddu0, u1, du1, ddu1, dddu1),
-                     (v0, dv0, ddv0, dddv0, v1, dv1, ddv1, dddv1)):
-            scaled = (data[0], h * data[1], h * h * data[2], h**3 * data[3],
-                      data[4], h * data[5], h * h * data[6], h**3 * data[7])
-            m = radial._HULL_MARGIN * sum(map(abs, scaled))
+        for data in comps:
+            size = sum(map(abs, _scaled(h, *data)))
+            m = radial._HULL_MARGIN * size
             top = BLOWUP_THRESHOLD - m
             for b in _bernstein(_hermite_coeffs(h, *data).tolist()):
                 expected = expected and m < b < top
-                ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-10 * sum(map(abs, scaled))
+                ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-10 * size
         if not ambiguous:
             assert _hull_clear(*args) == expected
             verdicts.append(expected)
