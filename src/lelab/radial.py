@@ -286,7 +286,11 @@ class RadialSolution:
                 f"evaluation radii must lie in [{self.r[0]}, {self.r[-1]}]"
             )
         idx = np.clip(np.searchsorted(self.r, r_arr, side="right") - 1, 0, len(self.r) - 2)
-        tau = (r_arr - self.r[idx]) / (self.r[idx + 1] - self.r[idx])
+        return self._horner(tables, idx, r_arr)
+
+    def _horner(self, tables, idx, r) -> tuple[np.ndarray, ...]:
+        """Each table at radii r on steps idx (idx broadcasts against r)."""
+        tau = (r - self.r[idx]) / (self.r[idx + 1] - self.r[idx])
         out = []
         for table in tables:  # Horner on columns gathered at idx one at a time: no (len(r), 8) copy
             w = table[idx, 7]
@@ -548,22 +552,21 @@ def integrate(
 
     p, q, d = params.p, params.q, params.d
     dm1 = d - 1.0
+    r = R_START
     try:
         vp = _signed_pow(v0, p)
         uq = _signed_pow(u0, q)
+        y = (
+            u0 - vp * r * r / (2.0 * d),
+            v0 - uq * r * r / (2.0 * d),
+            -vp * r / d,
+            -uq * r / d,
+        )
+        k1 = _rhs(r, *y, p, q, dm1)
     except OverflowError:
-        raise InvalidInputError(f"v0**p or u0**q overflows the series start, u0={u0}, v0={v0}") from None
-
-    r = R_START
-    y = (
-        u0 - vp * r * r / (2.0 * d),
-        v0 - uq * r * r / (2.0 * d),
-        -vp * r / d,
-        -uq * r / d,
-    )
+        raise InvalidInputError(f"the series start overflows, u0={u0}, v0={v0}") from None
     rows_r = [r]
     rows = [y]
-    k1 = _rhs(r, *y, p, q, dm1)
     h = 0.1 * r
     ddd0 = None
     status = RadialStatus.COMPLETED

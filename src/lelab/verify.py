@@ -169,33 +169,57 @@ def check_comparison(sol: RadialSolution, tolerance: float = 1e-10) -> Verificat
     )
 
 
+def _gauss_nodes(sol: RadialSolution, steps, lo, hi, halved: bool):
+    """Node radii, half widths and (u, v) at the 7-point Gauss-Legendre nodes
+    of [lo, hi] on each of the given steps; halved splits each interval in two."""
+    if halved:
+        mid = 0.5 * (lo + hi)
+        steps = np.repeat(steps, 2)
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+    half = 0.5 * (hi - lo)
+    rr = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    u, v = sol._horner(sol._tables()[:2], steps[:, None], rr)
+    return rr, half, u, v
+
+
 def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
                      r_end: float, halved: bool = False) -> float:
     """integral_0^r_end w^s r^m dr on the dense output, w = u or v.
 
     Per accepted step the integrand is evaluated at 7-point Gauss-Legendre
     nodes of the degree-7 Hermite reconstruction (split in half when
-    halved, the re-quadrature oracle); all nodes go through one
-    sol.evaluate call.  The unsampled core [0, r_start] is closed with the
-    leading constant term; slightly negative interpolant values near a
-    located zero are clamped at zero.
+    halved, the re-quadrature oracle).  The nodes of every full step, with
+    u and v there, are built once per solution and halved flag and cached
+    on the solution; a call takes the steps below r_end from that cache
+    and evaluates only the last, partial interval afresh.  Each step's
+    weighted sum runs left to right over its 7 nodes, so a part's bits do
+    not depend on r_end or on earlier calls.  The unsampled core
+    [0, r_start] is closed with the leading constant term; slightly
+    negative interpolant values near a located zero are clamped at zero.
     """
     grid = sol.r
     if r_end > grid[-1] * (1 + 1e-12):
         raise InvalidInputError(f"r_end={r_end} beyond the sampled grid")
     w0 = sol.u[0] if component == "u" else sol.v[0]
-    core = w0**s * grid[0] ** (m + 1.0) / (m + 1.0)
+    parts = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
     n = min(int(np.searchsorted(grid, r_end, side="left")), len(grid) - 1)
-    lo, hi = grid[:n], np.minimum(grid[1 : n + 1], r_end)
-    if halved:
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    half = 0.5 * (hi - lo)
-    rr = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
-    u, v, _, _ = sol.evaluate(rr)
-    w = np.maximum(u if component == "u" else v, 0.0)
+    if n > 0:
+        name = f"_gauss_cache_{int(halved)}"
+        cached = getattr(sol, name, None)
+        if cached is None:
+            cached = _gauss_nodes(sol, np.arange(len(grid) - 1), grid[:-1], grid[1:], halved)
+            object.__setattr__(sol, name, cached)
+        rows = (n - 1) * (2 if halved else 1)
+        last = _gauss_nodes(sol, np.array([n - 1]), grid[n - 1 : n],
+                            np.minimum(grid[n : n + 1], r_end), halved)
+        for rr, half, u, v in ([a[:rows] for a in cached], last):
+            f = np.maximum(u if component == "u" else v, 0.0) ** s * rr**m
+            acc = f[:, 0] * _GL_WEIGHTS[0]
+            for j in range(1, len(_GL_WEIGHTS)):
+                acc = acc + f[:, j] * _GL_WEIGHTS[j]
+            parts.extend(half * acc)
     # fsum rounds the exact sum, so the order of the parts does not matter
-    return math.fsum([core, *(half * ((w**s * rr**m) @ _GL_WEIGHTS))])
+    return math.fsum(parts)
 
 
 def pohozaev_sides(
@@ -217,7 +241,8 @@ def pohozaev_sides(
     p, q, d = sol.params.p, sol.params.q, sol.params.d
     if abs(weights.a1 + weights.a2 - (d - 2.0)) > 1e-12 * max(1.0, abs(d)):
         raise InvalidInputError(f"weights must satisfy a1 + a2 = d - 2, got {weights}")
-    if R > sol.r[-1] * (1 + 1e-12) or R < sol.r[0]:
+    R = float(R)
+    if not sol.r[0] <= R <= sol.r[-1] * (1 + 1e-12):  # NaN fails too
         raise InvalidInputError(f"R={R} outside the sampled grid")
     Iv = _moment_integral(sol, "v", p + 1.0, d - 1.0, R, halved)
     Iu = _moment_integral(sol, "u", q + 1.0, d - 1.0, R, halved)
@@ -268,7 +293,7 @@ def check_pohozaev(
         rhs,
         residual,
         tolerance,
-        details=f"R={R!r}, a1={weights.a1!r}, a2={weights.a2!r}; {detail}",
+        details=f"R={float(R)!r}, a1={weights.a1!r}, a2={weights.a2!r}; {detail}",
     )
 
 

@@ -10,12 +10,21 @@ so agreement is required to REL, a few hundred ulps.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lelab import RadialStatus, SystemParams, integrate
+from lelab import (
+    PohozaevWeights,
+    RadialSolution,
+    RadialStatus,
+    SystemParams,
+    check_energy_growth,
+    check_pohozaev,
+    integrate,
+)
 from lelab.radial import _hermite_coeffs, _polyval
 from lelab.verify import _GL_NODES, _GL_WEIGHTS, _moment_integral
 
@@ -52,7 +61,14 @@ def _reference_evaluate(sol, r):
     return tuple(out)
 
 
-def _reference_moment_integral(sol, component, s, m, r_end, halved=False):
+def _left_to_right(weights, f):
+    acc = weights[0] * f[0]
+    for wt, x in zip(weights[1:], f[1:]):
+        acc = acc + wt * x
+    return acc
+
+
+def _reference_moment_integral(sol, component, s, m, r_end, halved=False, weighted_sum=np.dot):
     grid = sol.r
     w0 = sol.u[0] if component == "u" else sol.v[0]
     parts = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
@@ -69,7 +85,7 @@ def _reference_moment_integral(sol, component, s, m, r_end, halved=False):
             half = 0.5 * (hi - lo)
             rr = 0.5 * (hi + lo) + half * _GL_NODES
             w = np.maximum(_polyval(c, (rr - a) / h), 0.0)
-            parts.append(half * float(np.dot(_GL_WEIGHTS, w**s * rr**m)))
+            parts.append(half * float(weighted_sum(_GL_WEIGHTS, w**s * rr**m)))
     return math.fsum(parts)
 
 
@@ -107,6 +123,20 @@ def test_moment_integral_matches_reference_loop(solution, halved):
             assert abs(got - want) <= REL * abs(want), (component, s, r_end)
 
 
+@pytest.mark.parametrize("halved", [False, True])
+def test_moment_integral_sums_each_step_left_to_right(solution, halved):
+    # with the 7-node sum of each step taken left to right, the reference
+    # loop rounds every part as the library does, so the bits agree
+    p, d = solution.params.p, solution.params.d
+    r = solution.r
+    for r_end in (r[len(r) // 2], 0.5 * (r[len(r) // 2] + r[len(r) // 2 + 1]), r[-1]):
+        got = _moment_integral(solution, "v", p + 1.0, d - 1.0, r_end, halved)
+        want = _reference_moment_integral(
+            solution, "v", p + 1.0, d - 1.0, r_end, halved, weighted_sum=_left_to_right
+        )
+        assert got.hex() == want.hex(), r_end
+
+
 def test_moment_integral_at_grid_start_is_core_only(slow_decay_3313):
     sol = slow_decay_3313
     got = _moment_integral(sol, "u", 4.0, 12.0, sol.r[0])
@@ -119,3 +149,58 @@ def test_coefficient_rows_read_only(slow_decay_3313):
     for row in (cu, cv, cdu, cdv):
         with pytest.raises(ValueError):
             row[0] = 2.0
+
+
+def _fresh(sol):
+    """A copy of sol with none of its caches built."""
+    return dataclasses.replace(sol)
+
+
+def test_moment_integral_bits_do_not_depend_on_call_order(slow_decay_3313):
+    r = slow_decay_3313.r
+    k = len(r) // 3
+    radii = [
+        r[0],
+        r[k],
+        0.5 * (r[k] + r[k + 1]),
+        r[-1] * (1 + 1e-13),
+        *np.geomspace(r[-1] / 10.0, r[-1] / 1.05, 5),
+    ]
+    calls = [(R, halved) for R in radii for halved in (False, True)]
+
+    def run(sol, order):
+        return {(R, halved): _moment_integral(sol, "u", 4.0, 12.0, R, halved).hex()
+                for R, halved in order}
+
+    forward = run(_fresh(slow_decay_3313), calls)
+    backward = run(_fresh(slow_decay_3313), calls[::-1])
+    alone = {}
+    for call in calls:
+        alone.update(run(_fresh(slow_decay_3313), [call]))
+    assert forward == backward == alone
+
+
+def test_node_sets_are_built_once_per_solution(slow_decay_3313, monkeypatch):
+    sol = _fresh(slow_decay_3313)
+    params, r_max = sol.params, sol.r[-1]
+    steps = len(sol.r) - 1
+    calls = []
+    horner = RadialSolution._horner
+
+    def counted(self, tables, idx, r):
+        calls.append((len(tables), np.shape(r)))
+        return horner(self, tables, idx, r)
+
+    monkeypatch.setattr(RadialSolution, "_horner", counted)
+    check_energy_growth(sol, 1.0, np.geomspace(r_max / 10.0, r_max / 1.05, 5))
+    for R, a1, halved in ((2.0, 0.0, False), (2.0, 5.5, False), (900.0, 0.0, False),
+                          (900.0, 11.0, False), (900.0, 5.5, True)):
+        check_pohozaev(sol, R, PohozaevWeights.from_a1(params, a1), halved=halved)
+    # u and v at every node of every step, once per halved flag
+    assert [c for c in calls if c[1][0] >= steps] == [(2, (steps, 7)), (2, (2 * steps, 7))]
+    # one partial interval per moment integral: 5 growth radii, 2 per Pohozaev check
+    assert calls.count((2, (1, 7))) == 5 + 8
+    assert calls.count((2, (2, 7))) == 2
+    # the boundary terms of each Pohozaev check
+    assert calls.count((4, (1,))) == 5
+    assert len(calls) == 2 + 15 + 5

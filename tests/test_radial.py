@@ -133,6 +133,13 @@ def test_integrate_validation():
         integrate(params, float("inf"), 10.0)
 
 
+def test_overflowing_series_start_rhs_is_invalid_input():
+    # v0 and u0 are finite, but u(r_start) is about -1.7e66, so |u|**q
+    # overflows in the first right-hand side, before any step
+    with pytest.raises(InvalidInputError, match="overflows"):
+        integrate(SystemParams(9.911, 5.256, 3), 1.0000000014e8, 58.4, 3.1e-11)
+
+
 def test_overflowing_trial_stage_is_a_rejected_step():
     # v0**9 r_start**2 is far above u0, so the first trial stages overflow
     # |v|**p; each is rejected until the step falls below the floor

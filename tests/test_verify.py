@@ -104,6 +104,21 @@ def test_pohozaev_residual_invariant_under_splitting():
     assert max(residuals) < 1e-9
 
 
+def test_pohozaev_rejects_non_finite_radius(slow_decay_3313):
+    w = PohozaevWeights.from_a1(slow_decay_3313.params, 5.5)
+    for R in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(InvalidInputError, match="outside the sampled grid"):
+            pohozaev_sides(slow_decay_3313, R, w)
+
+
+def test_pohozaev_numpy_radius_prints_plain_floats(slow_decay_3313):
+    w = PohozaevWeights.from_a1(slow_decay_3313.params, 5.5)
+    got = check_pohozaev(slow_decay_3313, np.float64(10.0), w)
+    want = check_pohozaev(slow_decay_3313, 10.0, w)
+    assert got == want
+    assert got.details.startswith("R=10.0, ") and "np." not in got.details
+
+
 def test_pohozaev_half_step_oracle(slow_decay_3313):
     w = PohozaevWeights.from_a1(slow_decay_3313.params, 5.5)
     full = check_pohozaev(slow_decay_3313, 2.0, w)
