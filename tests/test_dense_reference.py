@@ -3,9 +3,12 @@
 The reference rebuilds each step's degree-7 Hermite coefficients from the
 node data one step at a time and evaluates them in Python loops, the way
 RadialSolution.evaluate and verify._moment_integral once did.  The library
-builds one coefficient table per solution and evaluates all radii (or all
-quadrature nodes) in one call; the matmul and the summation order differ,
-so agreement is required to REL, a few hundred ulps.
+builds one coefficient table per solution, evaluates all radii in one
+call and the quadrature nodes of all steps once per solution; the matmul
+and the summation order differ, so agreement is required to REL, a few
+hundred ulps.  Taken left to right, the reference's 7-node sum matches the
+library's bit for bit, and the cached nodes must give bits that do not
+depend on the order of the calls.
 """
 
 from __future__ import annotations
