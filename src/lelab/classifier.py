@@ -19,6 +19,9 @@ from .exponents import (
     DerivedConstants,
     QuarticKind,
     SystemParams,
+    _lockstep_largest_roots,
+    _margin,
+    _quartic_from_constants,
     bisect_root,
     derive_constants,
     jl_margin,
@@ -101,10 +104,12 @@ class RegimeReport:
 
 def classify(params: SystemParams) -> RegimeReport:
     """Full regime report for one triple.  Pure function of its input."""
-    consts = derive_constants(params)
-    margin = jl_margin(params)
-    x0_plain = largest_root(params, QuarticKind.PLAIN_H)
-    x0_jl = largest_root(params, QuarticKind.JOSEPH_LUNDGREN)
+    return _report(params, derive_constants(params), largest_root(params, QuarticKind.PLAIN_H),
+                   largest_root(params, QuarticKind.JOSEPH_LUNDGREN))
+
+
+def _report(params: SystemParams, consts: DerivedConstants, x0_plain: float, x0_jl: float) -> RegimeReport:
+    margin = _margin(params, consts)
     crit = criticality(params)
     gap = hyperbola_gap(params)
     on_or_above = margin >= 0.0
@@ -314,21 +319,30 @@ def grid_classify(
     """Classify a (p, q) grid at fixed d, row-major in p then q.
 
     Grid points violating p >= q >= 1 or pq > 1 are skipped.  The output
-    order is deterministic, so repeated runs serialize identically.
+    order is deterministic, so repeated runs serialize identically.  Each
+    report equals classify()'s bit for bit: the largest roots of both
+    quartics come from one lockstep bisection over all grid points, which
+    follows largest_root's common path exactly, and a point that leaves
+    that path asks largest_root itself.
     """
     if resolution < 2:
         raise InvalidInputError("resolution must be >= 2")
     if not (p_range[1] >= p_range[0] and q_range[1] >= q_range[0]):
         raise InvalidInputError("empty parameter range")
-    reports = []
+    triples = []
     for p in _linspace(p_range[0], p_range[1], resolution):
         for q in _linspace(q_range[0], q_range[1], resolution):
             try:
                 params = SystemParams(p, q, d)
             except InvalidParamsError:
                 continue
-            reports.append(classify(params))
-    return reports
+            triples.append((params, derive_constants(params)))
+    kinds = (QuarticKind.PLAIN_H, QuarticKind.JOSEPH_LUNDGREN)
+    quartics = [(pr, kind, _quartic_from_constants(pr, c, kind)) for kind in kinds for pr, c in triples]
+    roots, why = _lockstep_largest_roots([coeffs for _, _, coeffs in quartics])
+    x0 = [largest_root(pr, kind) if w else r for r, w, (pr, kind, _) in zip(roots.tolist(), why, quartics)]
+    n = len(triples)
+    return [_report(pr, c, x0[i], x0[n + i]) for i, (pr, c) in enumerate(triples)]
 
 
 def jl_threshold_dimension(p: float, q: float, rel_tol: float = 1e-12) -> float:

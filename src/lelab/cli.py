@@ -22,6 +22,7 @@ CSV schemas (stable, versioned by a leading comment line):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,6 +226,7 @@ def _human_report(rep: RegimeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # parse_args keeps no state between calls, and error() raises
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lelab", allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)

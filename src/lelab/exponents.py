@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
+import numpy as np
+
 from .errors import (
     InvalidMoserExponentError,
     InvalidParamsError,
@@ -141,7 +143,10 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
 
 def quartic_coefficients(params: SystemParams, kind: QuarticKind) -> tuple[float, float, float, float, float]:
     """Monic coefficients (c0, c1, c2, c3, c4=1) of the requested quartic."""
-    c = derive_constants(params)
+    return _quartic_from_constants(params, derive_constants(params), kind)
+
+
+def _quartic_from_constants(params: SystemParams, c: DerivedConstants, kind: QuarticKind):
     K = params.p * params.q * c.alpha * c.beta
     c0 = -K * c.alpha * c.beta
     c1 = 2.0 * K * (c.alpha + c.beta)
@@ -155,8 +160,7 @@ def quartic_coefficients(params: SystemParams, kind: QuarticKind) -> tuple[float
 
 def quartic_eval(params: SystemParams, kind: QuarticKind, x: float) -> float:
     """Evaluate the requested quartic at x (Horner form; accepts arrays)."""
-    c0, c1, c2, c3, c4 = quartic_coefficients(params, kind)
-    return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+    return _horner(quartic_coefficients(params, kind), x)
 
 
 def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e-13) -> float:
@@ -222,17 +226,11 @@ def _roots_from_right(c, points):
             pending = []
 
 
-def largest_root(params: SystemParams, kind: QuarticKind) -> float:
-    """Largest real root x0 of the requested quartic.
-
-    The roots of f'' (a quadratic, solved exactly) split f' into monotone
-    pieces, whose roots split f into monotone pieces, inside the Cauchy
-    bound x_hi = 1 + max|c_i|.  Both levels are scanned from the right and
-    only as far as needed, usually one bisection each.  Roots are refined
-    to relative width 1e-13, well inside the 1e-12 contract; of two roots
-    within 1e-12 the smaller is returned.
-    """
-    c0, c1, c2, c3, _ = c = quartic_coefficients(params, kind)
+def _derivative_points(c):
+    """Cauchy bound x_hi = 1 + max|c_i| of the quartic c, and the points that
+    split its f' into monotone pieces, downward: x_hi, the roots of f''
+    inside (-x_hi, x_hi), -x_hi."""
+    c0, c1, c2, c3, _ = c
     x_hi = 1.0 + max(abs(c0), abs(c1), abs(c2), abs(c3))
 
     # f'' = 12 x^2 + 6 c3 x + 2 c2, solved exactly
@@ -243,13 +241,78 @@ def largest_root(params: SystemParams, kind: QuarticKind) -> float:
         inflections = sorted(((-6.0 * c3 - s) / 24.0, (-6.0 * c3 + s) / 24.0), reverse=True)
     elif disc == 0.0:
         inflections = [-c3 / 4.0]
+    return x_hi, [x_hi] + [x for x in inflections if -x_hi < x < x_hi] + [-x_hi]
 
+
+def largest_root(params: SystemParams, kind: QuarticKind) -> float:
+    """Largest real root x0 of the requested quartic.
+
+    The roots of f'' (a quadratic, solved exactly) split f' into monotone
+    pieces, whose roots split f into monotone pieces, inside the Cauchy
+    bound x_hi = 1 + max|c_i|.  Both levels are scanned from the right and
+    only as far as needed, usually one bisection each.  Roots are refined
+    to relative width 1e-13, well inside the 1e-12 contract; of two roots
+    within 1e-12 the smaller is returned.
+    """
+    _, c1, c2, c3, _ = c = quartic_coefficients(params, kind)
+    x_hi, points = _derivative_points(c)
     # f' as a quartic with leading coefficient 0, since 0*x + 4 is exactly 4
     fp = (c1, 2.0 * c2, 3.0 * c3, 4.0, 0.0)
-    criticals = _roots_from_right(fp, [x_hi] + [x for x in inflections if -x_hi < x < x_hi] + [-x_hi])
+    criticals = _roots_from_right(fp, points)
     for root in _roots_from_right(c, chain([x_hi], (x for x in criticals if -x_hi < x < x_hi), [-x_hi])):
         return root
     raise NoRealRootError(f"quartic {kind.value} has no real root for {params}")
+
+
+#: why a lane of _lockstep_largest_roots left the common path (code = index)
+LOCKSTEP_FALLBACKS = ("", "exact zero at a bracket end", "no sign change on the first piece",
+                      "critical point outside (-x_hi, x_hi)", "root inside the dedupe window")
+
+
+def _horner(c, x):
+    return (((c[4] * x + c[3]) * x + c[2]) * x + c[1]) * x + c[0]
+
+
+def _lockstep_piece(c, lo, hi, why):
+    """The root that _roots_from_right takes from its first piece [lo, hi],
+    for all lanes at once; marks in why the lanes that would need more."""
+    flo, fhi = _horner(c, lo), _horner(c, hi)
+    why[(why == 0) & ((flo == 0.0) | (fhi == 0.0))] = 1
+    why[(why == 0) & ((flo < 0.0) == (fhi < 0.0))] = 2
+    # _bisect_quartic step for step; a lane keeps its value once it stops
+    a, b, root, live = lo, hi, np.empty_like(lo), np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = _horner(c, mid)
+        stop = live & ((b - a <= 1e-13) | (b - a <= 1e-13 * np.abs(mid)) | (fm == 0.0))
+        root[stop] = mid[stop]
+        live &= ~stop
+        if not live.any():
+            break
+        left = (flo < 0.0) != (fm < 0.0)
+        a, b, flo = np.where(left, a, mid), np.where(left, mid, b), np.where(left, flo, fm)
+    root[live] = 0.5 * (a + b)[live]
+    why[(why == 0) & ~(root - lo > 1e-12 * np.maximum(1.0, np.abs(root)))] = 4
+    return root
+
+
+def _lockstep_largest_roots(coeffs):
+    """largest_root's common path, one lane per monic quartic c = (c0, ..., c4):
+    f' is bisected on its first piece below x_hi for the largest critical
+    point x1, then f on [x1, x_hi].  numpy's elementwise float64 +, *, abs
+    and comparisons round as Python floats do, so every lane keeps the bits
+    of the scalar scan.  Returns the roots and per lane an index into
+    LOCKSTEP_FALLBACKS; where it is not 0 the root is void: ask largest_root.
+    """
+    scans = [_derivative_points(c) for c in coeffs]
+    x_hi = np.array([x for x, _ in scans], dtype=float)
+    c = np.array(coeffs, dtype=float).reshape(-1, 5).T
+    fp = (c[1], 2.0 * c[2], 3.0 * c[3], 4.0, 0.0)
+    why = np.zeros(len(coeffs), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = _lockstep_piece(fp, np.array([points[1] for _, points in scans], dtype=float), x_hi, why)
+        why[(why == 0) & ~((-x_hi < x1) & (x1 < x_hi))] = 3
+        return _lockstep_piece(c, x1, x_hi, why), why
 
 
 def jl_margin(params: SystemParams) -> float:
@@ -259,7 +322,10 @@ def jl_margin(params: SystemParams) -> float:
     curve at dimension d (the existence side for d >= 11); < 0 is the
     nonexistence side.  Equality is grouped with the existence side.
     """
-    c = derive_constants(params)
+    return _margin(params, derive_constants(params))
+
+
+def _margin(params: SystemParams, c: DerivedConstants) -> float:
     return c.H * c.H - params.p * params.q * c.lam * c.mu
 
 

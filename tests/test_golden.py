@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from lelab.cli import run
+from lelab.cli import _build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_RTOL = 1e-13
@@ -136,6 +136,28 @@ def test_golden_cli_output(name):
         _assert_tolerant_match(got["stdout"], want["stdout"])
     else:
         assert got["stdout"] == want["stdout"]
+
+
+def test_one_parser_serves_every_run():
+    """The parser is built once per process; usage errors, raised in the
+    parser or in a subcommand's parser, leave nothing behind for the next run."""
+    assert _build_parser() is _build_parser()
+    usage_errors = [
+        ["classify", *PQD_3313, "--frobnicate"],
+        ["classify", *PQD_3313, "--json", "--csv"],
+        ["verify", "energy", *PQD_3313],
+        ["grid", "-d", "13", "-n", "x"],
+        ["frobnicate"],
+    ]
+    valid = ["classify_json", "curve_jl_csv", "grid_csv", "shoot_json", "ground_state_json",
+             "verify_singular", "verify_spherical_json"]
+    assert {CASES[name][0] for name in valid} == {"classify", "curve", "grid", "shoot", "ground-state", "verify"}
+    for k, name in enumerate(valid):
+        bad = _invoke(usage_errors[k % len(usage_errors)])
+        assert (bad["exit"], bad["stdout"]) == (2, "")
+        assert bad["stderr"].startswith("lelab: error:") and bad["stderr"].count("\n") == 1
+        want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        assert _invoke(CASES[name]) == want
 
 
 def test_tolerant_match_rejects_drift_and_flag_change():

@@ -8,16 +8,31 @@ within 1e-12*max(1, |r|) of the previous kept root are dropped, and the
 largest kept root is returned.  ``largest_root`` must return the same bits
 for random triples of every shape and for monic quartics with arbitrary
 coefficients, clustered roots and no real root.
+
+``grid_classify`` takes its roots from ``_lockstep_largest_roots``, which
+runs the common path of ``largest_root`` for many quartics at once and
+sends every other quartic back to ``largest_root``.  The lockstep roots
+must match the scalar ones bit for bit on regime-map grids, on hypothesis
+triples and on the constructed and random quartics, and each way of
+leaving the common path must be reached.
 """
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from lelab import QuarticKind, SystemParams, largest_root
+from lelab import QuarticKind, SystemParams, classify, grid_classify, largest_root
 from lelab import exponents
 from lelab.errors import NoRealRootError
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the hypothesis test below is left out
+    st = None
 
 KINDS = (QuarticKind.PLAIN_H, QuarticKind.JOSEPH_LUNDGREN)
 
@@ -130,7 +145,7 @@ def test_largest_root_matches_cascade_at_edges(p, q, d):
         assert largest_root(params, kind).hex() == _bits(_reference_largest_root(coeffs))
 
 
-@pytest.mark.parametrize("coeffs", [
+CONSTRUCTED = [
     (-3.0, 1.0, 1.5, 2.0, 1.0),    # disc == 0: one inflection point at -c3/4
     (-1.0, 0.5, 1.5, 2.0, 1.0),
     (-2.0, 1.0, 1.0, 0.0, 1.0),    # disc < 0: f' increasing everywhere
@@ -144,7 +159,10 @@ def test_largest_root_matches_cascade_at_edges(p, q, d):
     # critical points near -1.2e-12, 0 and 5e-13: the sweep keeps the first
     # two, and drops the third, which lies within 1e-12 of the second
     (-1.0, 0.0, -1.2e-24, 4.0 * 0.7e-12 / 3.0, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("coeffs", CONSTRUCTED)
 def test_largest_root_matches_cascade_on_constructed_quartics(monkeypatch, coeffs):
     assert _largest_root_bits(monkeypatch, coeffs) == _bits(_reference_largest_root(coeffs))
 
@@ -181,3 +199,120 @@ def test_largest_root_matches_cascade_on_random_quartics(monkeypatch):
         seen_none += expected is None
         assert _largest_root_bits(monkeypatch, coeffs) == expected, coeffs
     assert seen_none > 0
+
+
+# --- the lockstep path of grid_classify ---------------------------------------
+
+def _lockstep_bits(monkeypatch, coeffs_list):
+    """Roots of the given quartics as grid_classify takes them: lockstep, and
+    largest_root for the lanes that leave the common path; with the reasons."""
+    roots, why = exponents._lockstep_largest_roots(coeffs_list)
+    bits = [_largest_root_bits(monkeypatch, c) if w else r.hex()
+            for c, r, w in zip(coeffs_list, roots.tolist(), why)]
+    return bits, Counter(exponents.LOCKSTEP_FALLBACKS[w] for w in why if w)
+
+
+def _regime_map_grids():
+    """Grids shaped like the bench regime_map ones: d = 6, 7.x, 9, 11, 12.x,
+    14, 16, n = 44..50, p and q from about 1.1 to 5-7."""
+    rng = random.Random(18)
+    dims = [6.0, 7.0 + rng.uniform(0.2, 0.8), 9.0, 11.0, 12.0 + rng.uniform(0.2, 0.8), 14.0, 16.0]
+    sizes = list(range(44, 51))
+    rng.shuffle(sizes)
+    for d, n in zip(dims, sizes):
+        p_range = (rng.uniform(1.05, 1.3), rng.uniform(5.5, 7.0))
+        q_range = (rng.uniform(1.05, 1.3), rng.uniform(5.0, 7.0))
+        yield d, p_range, q_range, n
+
+
+def test_grid_classify_matches_classify_on_regime_map_grids():
+    fallbacks = Counter()
+    for d, p_range, q_range, n in _regime_map_grids():
+        reports = grid_classify(d, p_range, q_range, n)
+        assert len(reports) > 900
+        for rep in reports:
+            single = classify(rep.params)
+            assert (rep.x0_plain.hex(), rep.x0_jl.hex()) == (single.x0_plain.hex(), single.x0_jl.hex())
+            assert repr(rep) == repr(single)
+        coeffs = [exponents.quartic_coefficients(rep.params, kind) for kind in KINDS for rep in reports]
+        fallbacks.update(w for w in exponents._lockstep_largest_roots(coeffs)[1] if w)
+    assert not fallbacks  # every grid root takes the common path
+
+
+def test_lockstep_matches_cascade_on_random_triples(monkeypatch):
+    rng = random.Random(18)
+    coeffs = [exponents.quartic_coefficients(_random_triple(rng), kind) for _ in range(2000) for kind in KINDS]
+    bits, _ = _lockstep_bits(monkeypatch, coeffs)
+    assert bits == [_bits(_reference_largest_root(c)) for c in coeffs]
+
+
+if st is not None:
+    @st.composite
+    def _triples(draw):
+        q = draw(st.floats(1.0, 6.0))
+        p = q + draw(st.floats(0.0, 5.0))
+        d = draw(st.one_of(st.integers(3, 30).map(float), st.floats(3.0, 30.0)))
+        return SystemParams(p, q, d) if p * q > 1.0 else SystemParams(2.0, 2.0, d)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_triples(), min_size=1, max_size=40))
+    def test_lockstep_matches_largest_root_on_hypothesis_triples(triples):
+        coeffs = [exponents.quartic_coefficients(params, kind) for kind in KINDS for params in triples]
+        roots, why = exponents._lockstep_largest_roots(coeffs)
+        for (params, kind), r, w in zip([(t, k) for k in KINDS for t in triples], roots.tolist(), why):
+            if not w:
+                assert r.hex() == largest_root(params, kind).hex(), (params, kind)
+
+
+
+def test_lockstep_matches_cascade_on_constructed_and_random_quartics(monkeypatch):
+    rng = random.Random(66)
+    coeffs = CONSTRUCTED + [_random_monic(rng) for _ in range(3000)]
+    bits, _ = _lockstep_bits(monkeypatch, coeffs)
+    assert bits == [_bits(_reference_largest_root(c)) for c in coeffs]
+
+
+def test_lockstep_fallbacks_by_reason(monkeypatch):
+    rng = random.Random(66)
+    coeffs = CONSTRUCTED + [_random_monic(rng) for _ in range(3000)]
+    _, fallbacks = _lockstep_bits(monkeypatch, coeffs)
+    assert fallbacks == {
+        "exact zero at a bracket end": 243,
+        "no sign change on the first piece": 791,
+        "root inside the dedupe window": 7,
+    }, fallbacks
+    # The first critical point lies strictly between the ends of its piece,
+    # which lie in [-x_hi, x_hi], so the scalar scan's bound test never
+    # drops it for a genuine bound.  A bound that excludes the lower end of
+    # the piece shows that the lockstep path keeps that test too.
+    monkeypatch.setattr(exponents, "_derivative_points", lambda c: (1.0, [1.0, -5.0, -1.0]))
+    roots, why = exponents._lockstep_largest_roots([(0.0, 64.0, 0.0, 0.0, 1.0)])  # f' = 4x^3 + 64: x = -2.52
+    assert exponents.LOCKSTEP_FALLBACKS[why[0]] == "critical point outside (-x_hi, x_hi)"
+
+
+def test_lockstep_bisection_stops_where_bisect_quartic_does():
+    mid = float.fromhex("0x1.2309ce54p+0")
+    assert 1e-13 * mid == 2.0**-43
+    lanes = [  # (lo, hi, root of f(x) = x - root)
+        # halves down to [0, 1e-13] exactly: the absolute stop test meets its bound
+        (0.0, 1e-13 * 2.0**10, 0.25e-13),
+        # halves down to width 2**-43 around mid: the relative stop test meets its bound
+        (mid - 2.0**-44, mid - 2.0**-44 + 2.0**-33, mid - 2.0**-44 + 2.0**-46),
+        # the first midpoint is the root, exactly 1e-12 above lo: inside the dedupe window
+        (0.0, 2e-12, 1e-12),
+    ]
+    rng = random.Random(18)
+    for _ in range(300):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + 10.0 ** rng.uniform(-12.5, 1.0)
+        lanes.append((lo, hi, rng.uniform(lo, hi)))
+    lo, hi, root = (np.array(col) for col in zip(*lanes))
+    c = (-root, np.ones_like(root), 0.0, 0.0, 0.0)
+    why = np.zeros(len(lanes), dtype=int)
+    got = exponents._lockstep_piece(c, lo, hi, why)
+    for k, (a, b, r) in enumerate(lanes):
+        want = exponents._bisect_quartic((-r, 1.0, 0.0, 0.0, 0.0), a, b, a - r)
+        assert got[k].hex() == want.hex(), lanes[k]
+        # _roots_from_right yields the root at once only outside the dedupe window
+        assert why[k] == (0 if want - a > 1e-12 * max(1.0, abs(want)) else 4), lanes[k]
+    assert why[2] == 4
