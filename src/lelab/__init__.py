@@ -38,12 +38,14 @@ from .errors import (
 )
 from .exponents import (
     DerivedConstants,
+    Linearisation,
     MoserConstants,
     QuarticKind,
     SystemParams,
     derive_constants,
     jl_margin,
     largest_root,
+    linearisation,
     moser_constants,
     quartic_coefficients,
     quartic_eval,

@@ -11,6 +11,7 @@ roots encode dimension thresholds for Liouville-type nonexistence.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     InvalidMoserExponentError,
     InvalidParamsError,
     NoRealRootError,
+    UndefinedSingularError,
 )
 
 __all__ = [
@@ -34,6 +36,8 @@ __all__ = [
     "quartic_eval",
     "largest_root",
     "jl_margin",
+    "Linearisation",
+    "linearisation",
     "moser_constants",
 ]
 
@@ -327,6 +331,48 @@ def jl_margin(params: SystemParams) -> float:
 
 def _margin(params: SystemParams, c: DerivedConstants) -> float:
     return c.H * c.H - params.p * params.q * c.lam * c.mu
+
+
+@dataclass(frozen=True)
+class Linearisation:
+    """Roots sigma of P at the singular pair, and the slowest decaying one.
+
+    kappa = -Re sigma is the decay rate of the slowest root and
+    omega = |Im sigma| its frequency in log r (0 when it is real).
+    """
+
+    roots: tuple[complex, complex, complex, complex]
+    slowest: complex
+
+    @property
+    def kappa(self) -> float:
+        return -self.slowest.real
+
+    @property
+    def omega(self) -> float:
+        return abs(self.slowest.imag)
+
+
+def linearisation(params: SystemParams) -> Linearisation:
+    """Exponents sigma of u ~ a r^-alpha (1 + A r^sigma), v ~ b r^-beta (1 + B r^sigma).
+
+    They solve P(sigma) = (sigma-alpha)(sigma-alpha+d-2)(sigma-beta)(sigma-beta+d-2)
+    - pq*lambda*mu = 0.  With D = (d-2)/2 and g = gamma/2, z = sigma + D -
+    (alpha+beta)/2 gives P = (z^2 - w+)(z^2 - w-), where w+ + w- = 2(D^2 + g^2)
+    and w+ w- = H^2 - pq*lambda*mu = jl_margin, so all four roots are real
+    exactly when the margin is >= 0.  For p = q, P has the factor
+    sigma^2 + (d-2-2alpha) sigma + (p-1) lambda.
+    """
+    c = derive_constants(params)
+    if not (c.lam > 0.0 and c.mu > 0.0):
+        raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution")
+    D, g = 0.5 * (params.d - 2.0), 0.5 * c.gamma
+    w_plus = D * D + g * g + math.sqrt(4.0 * D * D * g * g + params.p * params.q * c.lam * c.mu)
+    shift = 0.5 * (c.alpha + c.beta) - D
+    roots = tuple(shift + sign * cmath.sqrt(w) for w in (w_plus, _margin(params, c) / w_plus) for sign in (1.0, -1.0))
+    # shift - sqrt(w+) < (alpha + beta)/2 - (d - 2) < 0, so a decaying root exists
+    slowest = max((r for r in roots if r.real < 0.0), key=lambda r: (r.real, r.imag))
+    return Linearisation(roots, slowest)
 
 
 def moser_constants(params: SystemParams, a: float) -> MoserConstants:

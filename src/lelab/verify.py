@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     UndefinedSingularError,
 )
-from .exponents import SystemParams, derive_constants, jl_margin
+from .exponents import SystemParams, derive_constants, jl_margin, linearisation
 from .radial import RadialSolution, RadialStatus
 
 __all__ = [
@@ -305,9 +305,16 @@ def check_energy_growth(
 ) -> VerificationReport:
     """Growth exponent of M(R) = integral_0^R u^s r^(d-1) dr against d - s*alpha.
 
-    Fits the slope of log M against log R over the supplied radii.  When
-    d - s*alpha < 0 the moment integral of a regular solution saturates;
-    the check then expects slope 0 and flags the saturated regime.
+    Fits log M against log R over the supplied radii and takes the slope.
+    Far out u approaches the singular pair as a r^-alpha (1 + A r^sigma),
+    with sigma the slowest decaying root of the linearisation, so log M
+    carries a transient R^-kappa cos(omega log R + phase) that decays
+    slowly just above the Sobolev exponent.  The fit therefore has the
+    columns (1, log R, R^-kappa cos(omega log R), R^-kappa sin(omega log R)),
+    or (1, log R, R^-kappa) when sigma is real, and is a plain line when no
+    singular pair exists; details names the model.  When d - s*alpha < 0
+    the moment integral of a regular solution saturates; the check then
+    expects slope 0 and flags the saturated regime.
     """
     if not s > 0.0:
         raise InvalidInputError("s must be positive")
@@ -321,10 +328,21 @@ def check_energy_growth(
     if not sol.positive:
         raise InsufficientDecayWindowError("growth check needs a positive trajectory")
     d = sol.params.d
-    alpha = derive_constants(sol.params).alpha
+    c = derive_constants(sol.params)
     M = np.array([_moment_integral(sol, "u", s, d - 1.0, R) for R in radii])
-    slope = float(np.polyfit(np.log(radii), np.log(M), 1)[0])
-    expected = d - s * alpha
+    log_r = np.log(radii)
+    columns, model = [np.ones_like(log_r), log_r], "line"
+    if c.lam > 0.0 and c.mu > 0.0:
+        lin = linearisation(sol.params)
+        decay = (radii / radii[0]) ** -lin.kappa  # scaled to 1 at the first radius
+        if lin.omega > 0.0:
+            columns += [decay * np.cos(lin.omega * log_r), decay * np.sin(lin.omega * log_r)]
+            model = f"line + R^-kappa (cos, sin)(omega log R), kappa={lin.kappa!r}, omega={lin.omega!r}"
+        else:
+            columns.append(decay)
+            model = f"line + R^-kappa, kappa={lin.kappa!r}"
+    slope = float(np.linalg.lstsq(np.column_stack(columns), np.log(M), rcond=None)[0][1])
+    expected = d - s * c.alpha
     saturated = expected < 0.0
     target = 0.0 if saturated else expected
     residual = abs(slope - target)
@@ -336,7 +354,7 @@ def check_energy_growth(
         target,
         residual,
         tolerance,
-        details=f"s={s!r}, d - s*alpha = {expected!r}, radii in [{radii[0]}, {radii[-1]}]"
+        details=f"s={s!r}, d - s*alpha = {expected!r}, radii in [{radii[0]}, {radii[-1]}]; fit: {model}"
         + ("; " + note if note else ""),
     )
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from lelab import (
     InvalidParamsError,
     QuarticKind,
     SystemParams,
+    UndefinedSingularError,
     derive_constants,
     jl_margin,
     largest_root,
+    linearisation,
     moser_constants,
     quartic_eval,
 )
@@ -235,3 +238,85 @@ def test_quartic_eval_accepts_arrays():
     vals = quartic_eval(params, PLAIN, xs)
     assert vals.shape == (3,)
     assert vals[0] == -9.0
+
+
+def _p_equals_q_roots(params):
+    """Roots of sigma^2 + (d-2-2alpha) sigma + (p-1) lambda, larger real part first."""
+    c = derive_constants(params)
+    b, c0 = params.d - 2.0 - 2.0 * c.alpha, (params.p - 1.0) * c.lam
+    s = cmath.sqrt(b * b - 4.0 * c0)
+    return (-b + s) / 2.0, (-b - s) / 2.0
+
+
+@pytest.mark.parametrize("p, d", [(3.0, 13.0), (5.0, 13.0), (3.0, 6.0), (2.0, 7.0)])
+def test_linearisation_p_equals_q_reduction_exact(p, d):
+    # all four triples make every intermediate value exact, so the
+    # factorised form and the quadratic formula agree bit for bit
+    params = SystemParams(p, p, d)
+    lin = linearisation(params)
+    quad = _p_equals_q_roots(params)
+    assert set(quad) <= set(lin.roots)
+    assert lin.slowest == quad[0]
+    assert lin.kappa == -quad[0].real and lin.omega == abs(quad[0].imag)
+
+
+def test_linearisation_examples():
+    lin = linearisation(SystemParams(3, 3, 13))
+    # sigma^2 + 9 sigma + 20 = 0 and sigma^2 + 9 sigma - 40 = 0
+    assert sorted(r.real for r in lin.roots)[1:3] == [-5.0, -4.0]
+    assert sum(r.real > 0.0 for r in lin.roots) == 1
+    assert (lin.slowest, lin.kappa, lin.omega) == (-4.0, 4.0, 0.0)
+    lin = linearisation(SystemParams(3, 3, 6))  # sigma = -1 +- i sqrt(5)
+    assert (lin.kappa, lin.omega) == (1.0, math.sqrt(5.0))
+    with pytest.raises(UndefinedSingularError):
+        linearisation(SystemParams(3, 3, 3))  # lambda = 0
+
+
+def test_linearisation_p_equals_q_reduction_random():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        p, d = rng.uniform(1.05, 12.0), rng.uniform(3.0, 30.0)
+        c = derive_constants(SystemParams(p, p, d))
+        if not c.lam > 0.0:
+            continue
+        lin = linearisation(SystemParams(p, p, d))
+        for want in _p_equals_q_roots(SystemParams(p, p, d)):
+            assert min(abs(r - want) for r in lin.roots) <= 1e-12 * max(1.0, abs(want))
+        if d > 2.0 + 2.0 * c.alpha:  # supercritical: the quadratic holds the slowest root
+            assert abs(lin.slowest - _p_equals_q_roots(SystemParams(p, p, d))[0]) <= 1e-12 * max(1.0, lin.kappa)
+
+
+def _emden_fowler_jacobian(params):
+    """Jacobian at (a, 0, b, 0) of the autonomous system that U = r^alpha u and
+    V = r^beta v satisfy in t = log r:
+    U'' = -(d-2-2alpha) U' + lambda U - V^p,  V'' = -(d-2-2beta) V' + mu V - U^q."""
+    c = derive_constants(params)
+    p, q, d = params.p, params.q, params.d
+    return np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [c.lam, -(d - 2.0 - 2.0 * c.alpha), -p * c.b_coef ** (p - 1.0), 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-q * c.a_coef ** (q - 1.0), 0.0, c.mu, -(d - 2.0 - 2.0 * c.beta)],
+    ])
+
+
+def test_linearisation_matches_emden_fowler_eigenvalues():
+    rng = np.random.default_rng(13)
+    seen_complex = seen_real = 0
+    for _ in range(300):
+        params = sample_supercritical(rng)
+        if params.p == params.q:
+            continue
+        lin = linearisation(params)
+        eig = sorted(np.linalg.eigvals(_emden_fowler_jacobian(params)), key=lambda z: (z.real, z.imag))
+        got = sorted(lin.roots, key=lambda z: (z.real, z.imag))
+        scale = max(1.0, max(abs(z) for z in eig))
+        assert all(abs(a - b) <= 1e-9 * scale for a, b in zip(got, eig)), (params, got, eig)
+        decaying = [z for z in eig if z.real < 0.0]
+        assert abs(lin.slowest.real - max(z.real for z in decaying)) <= 1e-9 * scale
+        # the roots are real exactly on and above the Joseph-Lundgren curve
+        real = all(z.imag == 0.0 for z in lin.roots)
+        assert real == (jl_margin(params) >= 0.0), params
+        seen_real += real
+        seen_complex += not real
+    assert seen_real > 20 and seen_complex > 20

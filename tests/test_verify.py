@@ -20,7 +20,7 @@ from lelab import (
     spherical_mode_margins,
 )
 from lelab.radial import RadialSolution
-from lelab.verify import _cutoff_quotient
+from lelab.verify import _cutoff_quotient, _moment_integral
 from conftest import sample_supercritical
 
 
@@ -147,6 +147,36 @@ def test_energy_growth_saturated(slow_decay_3313):
     assert "saturated" in rep.details
     assert rep.rhs == 0.0
     assert rep.passed
+
+
+# Draws of the verify benchmark workload (p = q, d = 5, v0 = 1) on which a
+# straight line through log M missed d - s*alpha by more than 0.1: a slowly
+# decaying oscillation around the singular pair, just above the Sobolev
+# exponent, bends log M over these radii.
+SLOW_TRANSIENT_DRAWS = [
+    (2.574504335495698, 321.0852205996634),
+    (2.6498211959672284, 313.18325831277605),
+    (2.6171769083749523, 312.8210239864767),
+]
+
+
+@pytest.mark.parametrize("p, r_max", SLOW_TRANSIENT_DRAWS)
+def test_energy_growth_fits_the_slow_transient(p, r_max):
+    params = SystemParams(p, p, 5.0)
+    sol = integrate(params, 1.0, r_max)
+    radii = np.geomspace(r_max / 10.0, r_max / 1.05, 5)
+    moments = [_moment_integral(sol, "u", 1.0, 4.0, R) for R in radii]
+    expected = 5.0 - derive_constants(params).alpha
+    assert abs(np.polyfit(np.log(radii), np.log(moments), 1)[0] - expected) > 0.1
+    rep = check_energy_growth(sol, 1.0, radii)
+    assert rep.passed and rep.residual < 0.03
+    assert "fit: line + R^-kappa (cos, sin)(omega log R)" in rep.details
+
+
+def test_energy_growth_fits_a_line_without_singular_pair():
+    sol = integrate(SystemParams(1.5, 1.5, 3), 1.0, 20.0)  # lambda < 0; v hits zero at r = 3.65
+    rep = check_energy_growth(sol, 1.0, np.geomspace(sol.r[-1] / 8.0, sol.r[-1] / 1.5, 4))
+    assert "; fit: line; saturated" in rep.details
 
 
 def test_energy_growth_validation(slow_decay_3313):
