@@ -88,6 +88,9 @@ CASES = {
         "verify", "energy", *PQD_3313, "--v0", "1", "--s", "3", "--radii", "5,10,20,40", "--json",
     ],
     "verify_energy_saturated": ["verify", "energy", *PQD_3313, "--v0", "1", "--s", "14", "--radii", "5,10,20,40"],
+    "verify_energy_saturated_json": [
+        "verify", "energy", *PQD_3313, "--v0", "1", "--s", "14", "--radii", "5,10,20,40", "--json",
+    ],
     "verify_rayleigh": ["verify", "rayleigh", *PQD_3313],
     "verify_spherical_json": ["verify", "spherical", *PQD_3313, "--json"],
 }
