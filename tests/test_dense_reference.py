@@ -159,6 +159,23 @@ def _fresh(sol):
     return dataclasses.replace(sol)
 
 
+def test_moment_integral_clamps_a_last_step_that_dips_below_zero():
+    sol = integrate(SystemParams(3, 3, 3), 1.0, 50.0, rel_tol=1e-10)
+    assert sol.status is RadialStatus.V_HIT_ZERO
+    # v falls from v[-2] to its located zero on the last step; the interpolant
+    # of v - eps is that of v shifted by eps, since the higher derivatives of
+    # v at the nodes do not involve v itself
+    dipped = dataclasses.replace(sol, v=sol.v - 0.75 * sol.v[-2])
+    assert np.all(dipped.v[:-1] > 0.0)
+    assert dipped.evaluate(0.5 * (sol.r[-2] + sol.r[-1]))[1][0] < 0.0
+    d = sol.params.d
+    for halved in (False, True):
+        # a negative value to the power 2.5 is NaN; the clamp reads it as 0
+        got = _moment_integral(dipped, "v", 2.5, d - 1.0, sol.r[-1], halved)
+        want = _reference_moment_integral(dipped, "v", 2.5, d - 1.0, sol.r[-1], halved)
+        assert math.isfinite(got) and abs(got - want) <= REL * abs(want)
+
+
 def test_moment_integral_bits_do_not_depend_on_call_order(slow_decay_3313):
     r = slow_decay_3313.r
     k = len(r) // 3
