@@ -258,11 +258,9 @@ def largest_root(params: SystemParams, kind: QuarticKind) -> float:
     to relative width 1e-13, well inside the 1e-12 contract; of two roots
     within 1e-12 the smaller is returned.
     """
-    _, c1, c2, c3, _ = c = quartic_coefficients(params, kind)
+    c = quartic_coefficients(params, kind)
     x_hi, points = _derivative_points(c)
-    # f' as a quartic with leading coefficient 0, since 0*x + 4 is exactly 4
-    fp = (c1, 2.0 * c2, 3.0 * c3, 4.0, 0.0)
-    criticals = _roots_from_right(fp, points)
+    criticals = _roots_from_right(_derivative(c), points)
     for root in _roots_from_right(c, chain([x_hi], (x for x in criticals if -x_hi < x < x_hi), [-x_hi])):
         return root
     raise NoRealRootError(f"quartic {kind.value} has no real root for {params}")
@@ -275,6 +273,11 @@ LOCKSTEP_FALLBACKS = ("", "exact zero at a bracket end", "no sign change on the 
 
 def _horner(c, x):
     return (((c[4] * x + c[3]) * x + c[2]) * x + c[1]) * x + c[0]
+
+
+def _derivative(c):
+    # f' as a quartic with leading coefficient 0, since 0*x + 4 is exactly 4
+    return (c[1], 2.0 * c[2], 3.0 * c[3], 4.0, 0.0)
 
 
 def _lockstep_piece(c, lo, hi, why):
@@ -311,10 +314,10 @@ def _lockstep_largest_roots(coeffs):
     scans = [_derivative_points(c) for c in coeffs]
     x_hi = np.array([x for x, _ in scans], dtype=float)
     c = np.array(coeffs, dtype=float).reshape(-1, 5).T
-    fp = (c[1], 2.0 * c[2], 3.0 * c[3], 4.0, 0.0)
     why = np.zeros(len(coeffs), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        x1 = _lockstep_piece(fp, np.array([points[1] for _, points in scans], dtype=float), x_hi, why)
+        below = np.array([points[1] for _, points in scans], dtype=float)  # first point under x_hi
+        x1 = _lockstep_piece(_derivative(c), below, x_hi, why)
         why[(why == 0) & ~((-x_hi < x1) & (x1 < x_hi))] = 3
         return _lockstep_piece(c, x1, x_hi, why), why
 
@@ -369,7 +372,8 @@ def linearisation(params: SystemParams) -> Linearisation:
     D, g = 0.5 * (params.d - 2.0), 0.5 * c.gamma
     w_plus = D * D + g * g + math.sqrt(4.0 * D * D * g * g + params.p * params.q * c.lam * c.mu)
     shift = 0.5 * (c.alpha + c.beta) - D
-    roots = tuple(shift + sign * cmath.sqrt(w) for w in (w_plus, _margin(params, c) / w_plus) for sign in (1.0, -1.0))
+    roots = tuple(shift + sign * cmath.sqrt(w)
+                  for w in (w_plus, _margin(params, c) / w_plus) for sign in (1.0, -1.0))
     # shift - sqrt(w+) < (alpha + beta)/2 - (d - 2) < 0, so a decaying root exists
     slowest = max((r for r in roots if r.real < 0.0), key=lambda r: (r.real, r.imag))
     return Linearisation(roots, slowest)
