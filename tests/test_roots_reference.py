@@ -264,7 +264,6 @@ if st is not None:
                 assert r.hex() == largest_root(params, kind).hex(), (params, kind)
 
 
-
 def test_lockstep_matches_cascade_on_constructed_and_random_quartics(monkeypatch):
     rng = random.Random(66)
     coeffs = CONSTRUCTED + [_random_monic(rng) for _ in range(3000)]
