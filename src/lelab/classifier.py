@@ -233,14 +233,6 @@ def trace_hyperbola(d: float, p_min: float, p_max: float, n: int) -> CurveTrace:
     return trace
 
 
-def _margin_normalized(p: float, q: float, d: float) -> float:
-    # the margin is symmetric under swapping p and q; normalize so that
-    # SystemParams accepts the pair when a bracket expands past q = p
-    if q > p:
-        p, q = q, p
-    return jl_margin(SystemParams(p, q, d))
-
-
 def trace_jl_curve(d: float, p_min: float, p_max: float, n: int) -> CurveTrace:
     """Joseph-Lundgren curve q*(p) at fixed d, by bisection of the margin.
 
@@ -262,19 +254,22 @@ def trace_jl_curve(d: float, p_min: float, p_max: float, n: int) -> CurveTrace:
     return CurveTrace(d=d, curve=CurveKind.JL, points=tuple(points))
 
 
+def _margin_and_tol(p: float, q: float, d: float) -> tuple[float, float]:
+    """The JL margin at (p, q, d) and half its convergence tolerance, from one
+    set of constants.  The margin is symmetric under swapping p and q; the
+    pair is normalized so that SystemParams accepts it past q = p."""
+    params = SystemParams(q, p, d) if q > p else SystemParams(p, q, d)
+    c = derive_constants(params)
+    return _margin(params, c), 0.5 * JL_CURVE_TOL * max(1.0, c.H**2)
+
+
 def _jl_curve_point(p: float, d: float) -> CurvePoint:
-    f = lambda q: _margin_normalized(p, q, d)
-
-    def tol_at(q: float) -> float:
-        hi, lo = (q, p) if q > p else (p, q)
-        return JL_CURVE_TOL * max(1.0, derive_constants(SystemParams(hi, lo, d)).H ** 2)
-
     q_lo, q_hi = 1.0, p
-    f_lo, f_hi = f(q_lo), f(q_hi)
+    (f_lo, tol_lo), (f_hi, tol_hi) = _margin_and_tol(p, q_lo, d), _margin_and_tol(p, q_hi, d)
     out_of_range = False
-    if abs(f_hi) < 0.5 * tol_at(q_hi):
+    if abs(f_hi) < tol_hi:
         q_star = q_hi
-    elif abs(f_lo) < 0.5 * tol_at(q_lo):
+    elif abs(f_lo) < tol_lo:
         q_star = q_lo
     else:
         if (f_lo < 0.0) == (f_hi < 0.0):
@@ -284,7 +279,7 @@ def _jl_curve_point(p: float, d: float) -> CurvePoint:
             found = False
             for _ in range(40):
                 q_hi = 2.0 * q_lo
-                f_hi = f(q_hi)
+                f_hi, _ = _margin_and_tol(p, q_hi, d)
                 if (f_lo < 0.0) != (f_hi < 0.0):
                     found = True
                     break
@@ -293,8 +288,8 @@ def _jl_curve_point(p: float, d: float) -> CurvePoint:
                 return CurvePoint(p, math.nan, CurvePointStatus.NO_SIGN_CHANGE)
         for _ in range(200):
             q_mid = 0.5 * (q_lo + q_hi)
-            f_mid = f(q_mid)
-            if abs(f_mid) < 0.5 * tol_at(q_mid) or q_hi - q_lo < 1e-14 * q_hi:
+            f_mid, tol_mid = _margin_and_tol(p, q_mid, d)
+            if abs(f_mid) < tol_mid or q_hi - q_lo < 1e-14 * q_hi:
                 break
             if (f_lo < 0.0) != (f_mid < 0.0):
                 q_hi, f_hi = q_mid, f_mid

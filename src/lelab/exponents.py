@@ -187,23 +187,6 @@ def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e
     return 0.5 * (lo + hi)
 
 
-def _bisect_quartic(c, lo: float, hi: float, flo: float, rel: float = 1e-13) -> float:
-    """bisect_root for the polynomial c = (c0, ..., c4), evaluated inline; f(lo), f(hi) != 0."""
-    c0, c1, c2, c3, c4 = c
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel or hi - lo <= rel * abs(mid):  # hi - lo <= rel * max(1, |mid|)
-            return mid
-        fm = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _roots_from_right(c, points):
     """Real roots of the polynomial c = (c0, ..., c4), largest first, lazily.
 
@@ -212,14 +195,14 @@ def _roots_from_right(c, points):
     1e-12*max(1, |r|) of the last one kept; nothing left of a point can drop
     a candidate more than that above it, so the sweep is replayed from there.
     """
-    c0, c1, c2, c3, c4 = c
     pending: list[float] = []  # candidates not yet yielded, largest first
     hi = fhi = None
     for lo in chain(points, [None]):
         if lo is not None:
-            flo = (((c4 * lo + c3) * lo + c2) * lo + c1) * lo + c0
+            flo = _horner(c, lo)
             if hi is not None and (flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0)):
-                pending.append(lo if flo == 0.0 else hi if fhi == 0.0 else _bisect_quartic(c, lo, hi, flo))
+                # a zero end is the candidate itself: bisect_root returns it
+                pending.append(bisect_root(lambda x: _horner(c, x), lo, hi, flo, fhi))
             hi, fhi = lo, flo
         if pending and (lo is None or pending[-1] - lo > 1e-12 * max(1.0, abs(pending[-1]))):
             kept = [pending.pop()]
@@ -286,7 +269,7 @@ def _lockstep_piece(c, lo, hi, why):
     flo, fhi = _horner(c, lo), _horner(c, hi)
     why[(why == 0) & ((flo == 0.0) | (fhi == 0.0))] = 1
     why[(why == 0) & ((flo < 0.0) == (fhi < 0.0))] = 2
-    # _bisect_quartic step for step; a lane keeps its value once it stops
+    # bisect_root step for step; a lane keeps its value once it stops
     a, b, root, live = lo, hi, np.empty_like(lo), np.ones(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (a + b)

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# exact on the polynomial pieces of _cutoff_quotient
+_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,6 @@ def _cutoff_quotient(d: float, gamma: float, t: float) -> float:
     exact.
     """
     half = 0.5 * t
-    nodes, wts = np.polynomial.legendre.leggauss(3)
     pieces = (
         (-half - 1.0, -half, lambda x: x + half + 1.0, 1.0),
         (-half, half, lambda x: np.ones_like(x), 0.0),
@@ -381,10 +382,10 @@ def _cutoff_quotient(d: float, gamma: float, t: float) -> float:
     c2 = 0.5 * (d - 2.0)
     for lo, hi, kap, dkap in pieces:
         hw = 0.5 * (hi - lo)
-        x = 0.5 * (hi + lo) + hw * nodes
+        x = 0.5 * (hi + lo) + hw * _GL3_NODES
         k = kap(x)
-        num += hw * float(np.dot(wts, (c2 * k - dkap) ** 2))
-        den += hw * float(np.dot(wts, k * k))
+        num += hw * float(np.dot(_GL3_WEIGHTS, (c2 * k - dkap) ** 2))
+        den += hw * float(np.dot(_GL3_WEIGHTS, k * k))
     return (num - gamma * gamma / 4.0 * den) / den
 
 

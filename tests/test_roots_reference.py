@@ -289,7 +289,7 @@ def test_lockstep_fallbacks_by_reason(monkeypatch):
     assert exponents.LOCKSTEP_FALLBACKS[why[0]] == "critical point outside (-x_hi, x_hi)"
 
 
-def test_lockstep_bisection_stops_where_bisect_quartic_does():
+def test_lockstep_bisection_stops_where_bisect_root_does():
     mid = float.fromhex("0x1.2309ce54p+0")
     assert 1e-13 * mid == 2.0**-43
     lanes = [  # (lo, hi, root of f(x) = x - root)
@@ -310,7 +310,8 @@ def test_lockstep_bisection_stops_where_bisect_quartic_does():
     why = np.zeros(len(lanes), dtype=int)
     got = exponents._lockstep_piece(c, lo, hi, why)
     for k, (a, b, r) in enumerate(lanes):
-        want = exponents._bisect_quartic((-r, 1.0, 0.0, 0.0, 0.0), a, b, a - r)
+        f = lambda x: exponents._horner((-r, 1.0, 0.0, 0.0, 0.0), x)
+        want = exponents.bisect_root(f, a, b, f(a), f(b))
         assert got[k].hex() == want.hex(), lanes[k]
         # _roots_from_right yields the root at once only outside the dedupe window
         assert why[k] == (0 if want - a > 1e-12 * max(1.0, abs(want)) else 4), lanes[k]
