@@ -11,15 +11,18 @@ pair whose stages are written out on plain floats.  Dense output on each
 accepted step is a two-point Hermite polynomial of degree 7; the ODE
 supplies the higher derivatives at the step endpoints, and the radial
 derivatives carry their own Hermite data so that they are reconstructed at
-derivative scale.  A solution builds its coefficient tables once, on first
-use; dense evaluation at any set of radii is then a row lookup and one
-Horner pass.  Events (a component hitting zero, blowup) are sampled on the
-dense output of each accepted step at nine points, all in one pass, and
-located by bisection between the samples.  Before that, a hull pre-test
-builds the Bernstein control points of the step's polynomials of u and v
-from the endpoint data; when all of them lie inside (m, 1e8 - m), with m
-a proved rounding margin of 5e-12 times the size of the data, no sample
-can hit, and the step is not sampled at all.
+derivative scale.  The polynomial is held by its 8 Bernstein control
+points, which come straight from the endpoint data; one builder makes
+them for the hull test, the event scan and the tables, and one evaluator
+sums the control points against the Bernstein basis.  A solution builds
+its control-point tables once, on first use; dense evaluation at any set
+of radii is then a row lookup and one basis pass.  Events (a component
+hitting zero, blowup) are sampled on the dense output of each accepted
+step at nine points, all in one pass, and located by bisection between
+the samples.  Before that, a hull pre-test checks the control points of
+u and v: when all of them lie inside (m, 1e8 - m), with m a proved
+rounding margin of 1e-15 times the size of the data, no sample can hit,
+and the step is not sampled at all.
 
 Shooting reduces the search for positive trajectories to bisection in the
 initial value v(0); u(0) = 1 is fixed by the scaling freedom of the system.
@@ -106,41 +109,42 @@ def _signed_pow(w: float, e: float) -> float:
     return math.copysign(abs(w) ** e, w)
 
 
-def _hermite_matrix() -> np.ndarray:
-    # constraints p(0), p'(0), p''(0), p'''(0), p(1), p'(1), p''(1), p'''(1)
-    # on the monomial coefficients of a degree-7 polynomial in tau
-    k = np.arange(8, dtype=float)
-    m = np.zeros((8, 8))
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    m[2, 2] = 2.0
-    m[3, 3] = 6.0
-    m[4] = 1.0
-    m[5] = k
-    m[6] = k * (k - 1.0)
-    m[7] = k * (k - 1.0) * (k - 2.0)
-    return m
+def _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1):
+    """Bernstein control points on [0, 1] of a degree-7 Hermite interpolant.
 
-
-_HERMITE_INV = np.linalg.inv(_hermite_matrix())
-
-
-def _hermite_coeffs(h, w0, d0, dd0, ddd0, w1, d1, dd1, ddd1) -> np.ndarray:
-    data = np.array(
-        [w0, h * d0, h * h * dd0, h**3 * ddd0, w1, h * d1, h * h * dd1, h**3 * ddd1]
+    The data are one component's value and its first three derivatives at
+    both ends of a step, the k-th derivative times h^k.  The same
+    expressions run on floats and on numpy arrays, so the hull test, the
+    event scan and the cached tables hold the same numbers for the same data.
+    """
+    return (
+        w0,
+        w0 + d0 / 7.0,
+        w0 + 2.0 * d0 / 7.0 + dd0 / 42.0,
+        w0 + 3.0 * d0 / 7.0 + dd0 / 14.0 + t0 / 210.0,
+        w1 - 3.0 * d1 / 7.0 + dd1 / 14.0 - t1 / 210.0,
+        w1 - 2.0 * d1 / 7.0 + dd1 / 42.0,
+        w1 - d1 / 7.0,
+        w1,
     )
-    return _HERMITE_INV @ data
 
 
-def _polyval(c: np.ndarray, t):
-    out = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        out = out * t + c[k]
-    return out
+def _basis(t, n: int = 7) -> list:
+    """Bernstein basis C(n, k) t^k (1 - t)^(n - k), k = 0..n, at a float or array t."""
+    s = 1.0 - t
+    tk, sk = [1.0], [1.0]
+    for _ in range(n):
+        tk.append(tk[-1] * t)
+        sk.append(sk[-1] * s)
+    return [math.comb(n, k) * tk[k] * sk[n - k] for k in range(n + 1)]
 
 
-def _polyder(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c), dtype=float)
+def _bernstein(b, basis):
+    """sum_k b[k] * basis[k], left to right: the polynomial with control points b."""
+    w = b[0] * basis[0]
+    for k in range(1, len(basis)):
+        w = w + b[k] * basis[k]
+    return w
 
 
 class RadialStatus(Enum):
@@ -233,7 +237,7 @@ class RadialSolution:
         return ddu, ddv, dddu, dddv, d4u, d4v
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (N-1)x8 coefficient tables of u, v, u', v', one row per step.
+        """Read-only (N-1)x8 control-point tables of u, v, u', v', one row per step.
 
         Built on first use and cached on the instance.  u' and v' carry their
         own Hermite data (u' through the fourth derivative of u, supplied by
@@ -244,35 +248,34 @@ class RadialSolution:
         tables = getattr(self, "_table_cache", None)
         if tables is None:
             ddu, ddv, dddu, dddv, d4u, d4v = self._node_higher_derivatives()
-            # Each row is rounded exactly as _hermite_coeffs rounds one step
-            # (libm's scalar pow for h**3, one 8x8 matrix-vector product per
-            # row): at a critical triple the Pohozaev boundary terms cancel to
-            # ~1e-10 of their size, so one ulp would show in the output.
-            powers = np.array([(1.0, h, h * h, h**3) for h in np.diff(self.r).tolist()])
+            # the data are scaled as the hull test scales one step (libm's
+            # scalar pow for h**3), so a row holds that test's numbers
+            powers = np.array([(1.0, h, h * h, h**3) for h in np.diff(self.r).tolist()]).T
             nodes = np.array([
                 (self.u, self.du, ddu, dddu),
                 (self.v, self.dv, ddv, dddv),
                 (self.du, ddu, dddu, d4u),
                 (self.dv, ddv, dddv, d4v),
-            ]).transpose(0, 2, 1)
-            data = np.concatenate((powers * nodes[:, :-1], powers * nodes[:, 1:]), axis=-1)
-            coeffs = (_HERMITE_INV @ data[..., None])[..., 0]
-            coeffs.setflags(write=False)
-            tables = tuple(coeffs)
+            ]).transpose(1, 0, 2)  # derivative order, table, node
+            start, end = powers[:, None] * nodes[..., :-1], powers[:, None] * nodes[..., 1:]
+            points = np.stack(_control_points(*start, *end), axis=-1)
+            points.setflags(write=False)
+            tables = tuple(points)
             object.__setattr__(self, "_table_cache", tables)
         return tables
 
     def hermite_coefficients(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-7 dense-output coefficients for the values u, v on step i.
+        """Bernstein control points of the dense output of u, v on step i.
 
-        Coefficients are monomial in the local variable tau = (r - r_i)/h_i;
-        the rows are read-only views of the solution's cached table.
+        The degree-7 polynomial in tau = (r - r_i)/h_i is
+        sum_k b_k C(7, k) tau^k (1 - tau)^(7 - k); the rows are read-only
+        views of the solution's cached table.
         """
         cu, cv, _, _ = self._tables()
         return cu[i], cv[i]
 
     def derivative_coefficients(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Degree-7 dense-output coefficients for u', v' on step i (read-only rows)."""
+        """Bernstein control points of the dense output of u', v' on step i (read-only rows)."""
         _, _, cdu, cdv = self._tables()
         return cdu[i], cdv[i]
 
@@ -286,18 +289,12 @@ class RadialSolution:
                 f"evaluation radii must lie in [{self.r[0]}, {self.r[-1]}]"
             )
         idx = np.clip(np.searchsorted(self.r, r_arr, side="right") - 1, 0, len(self.r) - 2)
-        return self._horner(tables, idx, r_arr)
+        return self._dense(tables, idx, r_arr)
 
-    def _horner(self, tables, idx, r) -> tuple[np.ndarray, ...]:
-        """Each table at radii r on steps idx (idx broadcasts against r)."""
-        tau = (r - self.r[idx]) / (self.r[idx + 1] - self.r[idx])
-        out = []
-        for table in tables:  # Horner on columns gathered at idx one at a time: no (len(r), 8) copy
-            w = table[idx, 7]
-            for k in range(6, -1, -1):
-                w = w * tau + table[idx, k]
-            out.append(w)
-        return tuple(out)
+    def _dense(self, tables, idx, r) -> tuple[np.ndarray, ...]:
+        """Each table at radii r on steps idx (an int, or an array shaped as r)."""
+        basis = _basis((r - self.r[idx]) / (self.r[idx + 1] - self.r[idx]))
+        return tuple(_bernstein(table[idx].T, basis) for table in tables)
 
     @property
     def positive(self) -> bool:
@@ -322,69 +319,66 @@ def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     return dddu, dddv
 
 
-# Relative margin of the hull test.  Let D be one component's Hermite data
-# on a step, (w0, h w0', h^2 w0'', h^3 w0''', w1, ...) as _hermite_coeffs
-# builds it, and P the exact degree-7 interpolant of D.  _scan_events
-# samples fl(Horner(fl(_HERMITE_INV @ D), tau)) at tau = k/8, and each
-# sample is within sum_j e_j |D_j| of P(tau), where
-#   e_j = (1 + g14) sum_k (|_HERMITE_INV - H^-1|_kj + g8 |H^-1|_kj) + g14 sum_k |H^-1|_kj
-# and g_n = n u / (1 - n u), u = 2^-53: the error of the computed inverse,
-# of the 8-term products and of Horner on [0, 1].  Against the exact
-# rational inverse, max_j e_j = 4.453e-12, set by the inverse's entry
-# errors (up to 1.6e-12 on entries of size 84).  The computed control
-# points are within 6u sum|D| of the exact ones, and rounding 1e8 - m
-# moves the upper bound by at most 2^-27, below 1e-4 m whenever a control
-# point can come near 1e8 (then sum|D| >= 5e7).  So m = 5e-12 sum|D|
-# covers all of it: with every computed control point in (m, 1e8 - m), the
-# exact ones lie in (4.46e-12 sum|D|, 1e8 - 4.46e-12 sum|D|), so does P by
-# the convex hull property, and no sample can reach 0 or 1e8.
-_HULL_MARGIN = 5e-12
+# Relative margin of the hull test.  Let D be one component's data on a
+# step as _step_data forms it, b its control points from _control_points
+# and u = 2^-53, g_n = n u / (1 - n u).  Each b_k sums at most four terms
+# with coefficients of size <= 1, so |b_k| <= (1 + g5) sum|D|.  The scan
+# samples fl(sum_k b_k B_k(tau)) from these same b at tau = j/8, where
+# _basis is exact (weights C(7,k) j^k (8-j)^(7-k) / 8^7, numerators below
+# 2^53), so the only rounding is that of the 8 products and 7 sums: with
+# every b_k > 0 the sample is within g8 S of S = sum_k b_k B_k(tau), a
+# convex combination, so min b <= S <= max b.  Let every b_k lie in
+# (m, fl(1e8 - m)), m = fl(_ATOL_FLOOR + _HULL_MARGIN fl(sum|D|)).
+#  - Zero: all products are >= 0, and a float sum of nonnegative terms is
+#    at least its largest term.  Some B_k(tau) >= 1/8, and b_k B_k > m/8
+#    >= 1e-301 rounds to a positive product: no sample reaches 0.
+#    Rounding cannot take it there; only underflow, which the floor
+#    excludes (with m = 0, control points of size 2^-1074 give products
+#    that round to 0).
+#  - Blowup: the sample is at most (1 + g8) max b.  If max b < 9.9e7 that
+#    is below 1e8.  Otherwise sum|D| >= 9.9e7 / (1 + g5), so m >= 9.89e-8,
+#    while a sample reaches 1e8 only if m <= 2^-27 + g8 1e8 < 9.63e-8
+#    (2^-27 is the rounding of 1e8 - m).
+# So m = 1e-15 sum|D| (plus the floor) makes the test sound.
+_HULL_MARGIN = 1e-15
+
+
+def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
+    """Hermite data of u and of v on a step: value and h^k times the k-th
+    derivative, k = 1..3, at each end (k holds u', v', u'', v'')."""
+    hh = h * h
+    h3 = h**3
+    return (
+        (y0[0], h * k0[0], hh * k0[2], h3 * ddd0[0], y1[0], h * k1[0], hh * k1[2], h3 * ddd1[0]),
+        (y0[1], h * k0[1], hh * k0[3], h3 * ddd0[1], y1[1], h * k1[1], hh * k1[3], h3 * ddd1[1]),
+    )
 
 
 def _hull_clear(h, y0, k0, ddd0, y1, k1, ddd1):
     """True when no dense sample of u or v on the step can reach 0 or blowup.
 
     The Bernstein control points of each degree-7 Hermite polynomial on
-    [0, 1] bound it (its convex hull) and come from the endpoint data
-    directly.  When all of them lie in (m, BLOWUP_THRESHOLD - m), m the
-    _HULL_MARGIN bound above, _scan_events provably returns None, so the
-    caller may skip it.  A non-finite value fails a comparison and gives
-    False, as does any step the margin cannot clear.
+    [0, 1] bound it (its convex hull).  When all of them lie in
+    (m, BLOWUP_THRESHOLD - m), m the _HULL_MARGIN bound above,
+    _scan_events provably returns None, so the caller may skip it.  A
+    non-finite value makes m NaN or inf and gives False, as does any step
+    the margin cannot clear.
     """
-    hh = h * h
-    h3 = h**3
-    for j in (0, 1):
-        w0, d0, dd0, t0 = y0[j], h * k0[j], hh * k0[j + 2], h3 * ddd0[j]
-        w1, d1, dd1, t1 = y1[j], h * k1[j], hh * k1[j + 2], h3 * ddd1[j]
-        m = _HULL_MARGIN * (
+    for data in _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
+        w0, d0, dd0, t0, w1, d1, dd1, t1 = data
+        m = _ATOL_FLOOR + _HULL_MARGIN * (
             abs(w0) + abs(d0) + abs(dd0) + abs(t0) + abs(w1) + abs(d1) + abs(dd1) + abs(t1)
         )
         top = BLOWUP_THRESHOLD - m
-        if not (
-            m < w0 < top
-            and m < w1 < top
-            and m < w0 + d0 / 7.0 < top
-            and m < w1 - d1 / 7.0 < top
-            and m < w0 + 2.0 * d0 / 7.0 + dd0 / 42.0 < top
-            and m < w1 - 2.0 * d1 / 7.0 + dd1 / 42.0 < top
-            and m < w0 + 3.0 * d0 / 7.0 + dd0 / 14.0 + t0 / 210.0 < top
-            and m < w1 - 3.0 * d1 / 7.0 + dd1 / 14.0 - t1 / 210.0 < top
-        ):
-            return False
+        for b in _control_points(*data):
+            if not m < b < top:
+                return False
     return True
-
-
-def _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1):
-    # k holds (u', v', u'', v''); third derivatives come from the ODE
-    ddd0 = _third_derivs(r0, k0[0], k0[1], k0[2], k0[3], y0[0], y0[1], p, q, dm1)
-    ddd1 = _third_derivs(r0 + h, k1[0], k1[1], k1[2], k1[3], y1[0], y1[1], p, q, dm1)
-    cu = _hermite_coeffs(h, y0[0], k0[0], k0[2], ddd0[0], y1[0], k1[0], k1[2], ddd1[0])
-    cv = _hermite_coeffs(h, y0[1], k0[1], k0[3], ddd0[1], y1[1], k1[1], k1[3], ddd1[1])
-    return cu, cv
 
 
 # dense samples of each accepted step scanned for events: tau = 0, 1/8, ..., 1
 _EVENT_TAU = np.arange(9) / 8.0
+_EVENT_BASIS = _basis(_EVENT_TAU)
 # event functions sign*(w - level), positive before their event, in order of
 # precedence at equal tau: v and u reaching zero, u and v reaching blowup
 _EVENT_STATUS = (RadialStatus.V_HIT_ZERO, RadialStatus.U_HIT_ZERO) + 2 * (RadialStatus.BLOWUP,)
@@ -400,11 +394,14 @@ def _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1):
     simultaneous zero of u and v (exact symmetric trajectories) is reported
     as V_HIT_ZERO.
     """
-    cu, cv = _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1)
-    c = np.array((cv, cu, cu, cv))  # one row per event function
-    w = c[:, 7:]
-    for k in range(6, -1, -1):  # the order of _polyval, so samples match its scalar values bitwise
-        w = w * _EVENT_TAU + c[:, k : k + 1]
+    # k holds (u', v', u'', v''); third derivatives come from the ODE
+    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
+    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
+    data = _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
+    bu, bv = (_control_points(*d) for d in data)
+    points = (bv, bu, bu, bv)  # one per event function
+    # the samples of all four at once; numpy rounds each as the scalar sum does
+    w = _bernstein(np.array(points).T[:, :, None], _EVENT_BASIS)
     hits = _EVENT_SIGN * (w - _EVENT_LEVEL) <= 0.0
     if not hits.any():
         return None
@@ -420,18 +417,21 @@ def _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1):
             if (t - lo) * h <= EVENT_RTOL * (r0 + lo * h):
                 break
             mid = 0.5 * (lo + t)
-            if sign * (_polyval(c[j], mid) - level) <= 0.0:
+            if sign * (_bernstein(points[j], _basis(mid)) - level) <= 0.0:
                 t = mid
             else:
                 lo = mid
         if t < t_star:
             t_star, status = t, _EVENT_STATUS[j]
-    r_event = r0 + t_star * h
-    u = _polyval(cu, t_star)
-    v = _polyval(cv, t_star)
-    du = _polyval(_polyder(cu), t_star) / h
-    dv = _polyval(_polyder(cv), t_star) / h
-    return r_event, status, (u, v, du, dv)
+    basis, slope_basis = _basis(t_star), _basis(t_star, 6)
+    values = [_bernstein(b, basis) for b in (bu, bv)]
+    slopes = []
+    for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
+        # 7 (c_k+1 - c_k) are the control points of the slope; c, those of
+        # w - w0, keep the digits of the change over the step at any |w|
+        c = _control_points(0.0, d0, dd0, t0, w1 - w0, d1, dd1, t1)
+        slopes.append(7.0 * _bernstein([c[k + 1] - c[k] for k in range(7)], slope_basis) / h)
+    return r0 + t_star * h, status, (*values, *slopes)
 
 
 def _dp54_step(r, h, y, k1, p, q, dm1, rel_tol):

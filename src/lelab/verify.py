@@ -33,7 +33,7 @@ from .errors import (
     UndefinedSingularError,
 )
 from .exponents import SystemParams, derive_constants, jl_margin, linearisation
-from .radial import RadialSolution, RadialStatus
+from .radial import RadialSolution, RadialStatus, _basis, _bernstein
 
 __all__ = [
     "PohozaevWeights",
@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# Bernstein weights at the nodes of a whole step, and of its two halves in
+# turn: the nodes of every full step sit at the same tau
+_GL_TAU = 0.5 * (1.0 + _GL_NODES)
+_GL_BASIS = tuple(np.array(_basis(t)) for t in (_GL_TAU, np.append(0.5 * _GL_TAU, 0.5 + 0.5 * _GL_TAU)))
 # exact on the polynomial pieces of _cutoff_quotient
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -171,17 +175,14 @@ def check_comparison(sol: RadialSolution, tolerance: float = 1e-10) -> Verificat
     )
 
 
-def _gauss_nodes(sol: RadialSolution, steps, lo, hi, halved: bool):
-    """Node radii, half widths and (u, v) at the 7-point Gauss-Legendre nodes
-    of [lo, hi] on each of the given steps; halved splits each interval in two."""
+def _gauss_nodes(lo, hi, halved: bool):
+    """Node radii and half widths of 7-point Gauss-Legendre on each [lo, hi];
+    halved splits each interval in two."""
     if halved:
         mid = 0.5 * (lo + hi)
-        steps = np.repeat(steps, 2)
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
     half = 0.5 * (hi - lo)
-    rr = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
-    u, v = sol._horner(sol._tables()[:2], steps[:, None], rr)
-    return rr, half, u, v
+    return (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES, half
 
 
 def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
@@ -191,7 +192,8 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
     Per accepted step the integrand is evaluated at 7-point Gauss-Legendre
     nodes of the degree-7 Hermite reconstruction (split in half when
     halved, the re-quadrature oracle).  The nodes of every full step, with
-    u and v there, are built once per solution and halved flag and cached
+    u and v there from the fixed Bernstein weights _GL_BASIS, are built
+    once per solution and halved flag and cached
     on the solution; a call takes the steps below r_end from that cache
     and evaluates only the last, partial interval afresh.  Each step's
     weighted sum runs left to right over its 7 nodes, so a part's bits do
@@ -209,11 +211,14 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
         name = f"_gauss_cache_{int(halved)}"
         cached = getattr(sol, name, None)
         if cached is None:
-            cached = _gauss_nodes(sol, np.arange(len(grid) - 1), grid[:-1], grid[1:], halved)
+            rr, half = _gauss_nodes(grid[:-1], grid[1:], halved)
+            uv = (_bernstein(t.T[:, :, None], _GL_BASIS[halved]).reshape(rr.shape)
+                  for t in sol._tables()[:2])
+            cached = (rr, half, *uv)
             object.__setattr__(sol, name, cached)
         rows = (n - 1) * (2 if halved else 1)
-        last = _gauss_nodes(sol, np.array([n - 1]), grid[n - 1 : n],
-                            np.minimum(grid[n : n + 1], r_end), halved)
+        rr, half = _gauss_nodes(grid[n - 1 : n], np.minimum(grid[n : n + 1], r_end), halved)
+        last = (rr, half, *sol._dense(sol._tables()[:2], n - 1, rr))
         for rr, half, u, v in ([a[:rows] for a in cached], last):
             f = np.maximum(u if component == "u" else v, 0.0) ** s * rr**m
             acc = f[:, 0] * _GL_WEIGHTS[0]

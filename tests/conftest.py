@@ -1,4 +1,6 @@
 import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +13,42 @@ from lelab import (
     shoot_ground_state,
 )
 from lelab.radial import _shot_side
+
+
+def hermite_integers(data):
+    """Exact Bernstein control points of the degree-7 Hermite interpolant of
+    double data (w0, h w0', h^2 w0'', h^3 w0''', w1, h w1', h^2 w1'', h^3 w1'''),
+    as integers over one denominator: 210 b_k is an integer combination of
+    the data, whose denominators are powers of 2."""
+    ratios = [float(x).as_integer_ratio() for x in data]
+    den = max(q for _, q in ratios)
+    w0, d0, dd0, t0, w1, d1, dd1, t1 = (n * (den // q) for n, q in ratios)
+    return [
+        210 * w0,
+        210 * w0 + 30 * d0,
+        210 * w0 + 60 * d0 + 5 * dd0,
+        210 * w0 + 90 * d0 + 15 * dd0 + t0,
+        210 * w1 - 90 * d1 + 15 * dd1 - t1,
+        210 * w1 - 60 * d1 + 5 * dd1,
+        210 * w1 - 30 * d1,
+        210 * w1,
+    ], 210 * den
+
+
+def hermite_control_points(data):
+    """The control points of hermite_integers as Fractions."""
+    nums, den = hermite_integers(data)
+    return [Fraction(n, den) for n in nums]
+
+
+def bernstein_value(points, tau, order=0):
+    """The order-th tau-derivative at tau of the polynomial with Bernstein
+    control points on [0, 1], in exact rational arithmetic."""
+    b = [Fraction(x) for x in points]
+    for _ in range(order):
+        b = [(len(b) - 1) * (y - x) for x, y in zip(b, b[1:])]
+    n, (a, q) = len(b) - 1, Fraction(tau).as_integer_ratio()  # tau = a / q
+    return sum(bk * (comb(n, k) * a**k * (q - a) ** (n - k)) for k, bk in enumerate(b)) / q**n
 
 
 def sample_supercritical(rng, d_max_extra=25.0, q_hi=6.0, p_extra=5.0):

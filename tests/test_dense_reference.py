@@ -1,24 +1,28 @@
-"""Dense output and moment quadrature against per-step reference loops.
+"""Dense output and moment quadrature against per-step references.
 
-The reference rebuilds each step's degree-7 Hermite coefficients from the
-node data one step at a time and evaluates them in Python loops, the way
-RadialSolution.evaluate and verify._moment_integral once did.  The library
-builds one coefficient table per solution, evaluates all radii in one
-call and the quadrature nodes of all steps once per solution; the matmul
-and the summation order differ, so agreement is required to REL, a few
-hundred ulps.  Taken left to right, the reference's 7-node sum matches the
-library's bit for bit, and the cached nodes must give bits that do not
-depend on the order of the calls.
+evaluate is held to the exact rational interpolant of each step's Hermite
+node data D: the cached Bernstein tables and their evaluation must stay
+within EXACT_TOL sum|D| of it, the hull margin's order.  The quadrature
+reference loops over the steps and evaluates, by de Casteljau, control
+points rounded once from the exact ones; the library evaluates its own
+control points in the power form of the Bernstein basis, so agreement is
+required to REL, a few hundred ulps.  Fed the library's node values, the
+reference's left-to-right 7-node sums match the library's bit for bit,
+and the cached nodes must give bits that do not depend on the order of
+the calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import bernstein_value, hermite_integers
 from lelab import (
     PohozaevWeights,
     RadialSolution,
@@ -27,11 +31,13 @@ from lelab import (
     check_energy_growth,
     check_pohozaev,
     integrate,
+    verify,
 )
-from lelab.radial import _hermite_coeffs, _polyval
-from lelab.verify import _GL_NODES, _GL_WEIGHTS, _moment_integral
+from lelab.radial import _basis, _bernstein
+from lelab.verify import _GL_BASIS, _GL_NODES, _GL_WEIGHTS, _moment_integral
 
 REL = 1e-13
+EXACT_TOL = 1e-15
 
 
 def _node_data(sol):
@@ -45,50 +51,99 @@ def _node_data(sol):
     )
 
 
-def _reference_coefficients(sol, data, i):
-    """Coefficients on step i, built from the node data of that step alone."""
+def _step_data(sol, data, i):
+    """The scaled data D of one table on step i, as the solution builds its tables."""
     h = sol.r[i + 1] - sol.r[i]
-    return _hermite_coeffs(h, *(w[i] for w in data), *(w[i + 1] for w in data))
+    powers = (1.0, h, h * h, h**3)
+    return tuple(pw * float(w[i + e]) for e in (0, 1) for pw, w in zip(powers, data))
 
 
-def _reference_evaluate(sol, r):
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    idx = np.clip(np.searchsorted(sol.r, r_arr, side="right") - 1, 0, len(sol.r) - 2)
-    out = [np.empty_like(r_arr) for _ in range(4)]
-    node_data = _node_data(sol)
-    for i in np.unique(idx):
-        sel = idx == i
-        tau = (r_arr[sel] - sol.r[i]) / (sol.r[i + 1] - sol.r[i])
-        for dest, data in zip(out, node_data):
-            dest[sel] = _polyval(_reference_coefficients(sol, data, i), tau)
-    return tuple(out)
+_EXACT = {}
+
+
+def _exact_points(sol):
+    """Per table and step: the exact control points as integers over a common
+    denominator, rounded to floats, and sum|D| (cached per solution)."""
+    if id(sol) not in _EXACT:
+        tables = []
+        for data in _node_data(sol):
+            steps = []
+            for i in range(len(sol.r) - 1):
+                D = _step_data(sol, data, i)
+                ints, den = hermite_integers(D)
+                steps.append((ints, den, [n / den for n in ints], sum(map(abs, D))))
+            tables.append(steps)
+        _EXACT[id(sol)] = (sol, tables)
+    return _EXACT[id(sol)][1]
+
+
+def _exact_errors(sol, radii):
+    """Per table, the largest |evaluate - exact| / sum|D| over the radii."""
+    got = sol.evaluate(radii)
+    idx = np.clip(np.searchsorted(sol.r, radii, side="right") - 1, 0, len(sol.r) - 2)
+    tau = (radii - sol.r[idx]) / (sol.r[idx + 1] - sol.r[idx])  # as evaluate forms it
+    worst = [0.0] * 4
+    for m, (i, t) in enumerate(zip(idx, tau)):
+        a, q = float(t).as_integer_ratio()  # the basis C(7,k) t^k (1-t)^(7-k) is weights / q^7
+        weights = [math.comb(7, k) * a**k * (q - a) ** (7 - k) for k in range(8)]
+        for j, steps in enumerate(_exact_points(sol)):
+            ints, den, _, size = steps[i]
+            exact = Fraction(sum(b * w for b, w in zip(ints, weights)), den * q**7)
+            err = abs(Fraction(float(got[j][m])) - exact) / Fraction(size)
+            worst[j] = max(worst[j], float(err))
+    return worst
+
+
+def _casteljau(b, t):
+    while len(b) > 1:
+        b = [(1.0 - t) * x + t * y for x, y in zip(b, b[1:])]
+    return b[0]
 
 
 def _left_to_right(weights, f):
-    acc = weights[0] * f[0]
-    for wt, x in zip(weights[1:], f[1:]):
-        acc = acc + wt * x
+    acc = weights[0] * f[..., 0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * f[..., j]
     return acc
 
 
-def _reference_moment_integral(sol, component, s, m, r_end, halved=False, weighted_sum=np.dot):
+def _reference_moment_integral(sol, component, s, m, r_end, halved=False, library_nodes=False):
+    """The moment integral, its nodes laid out step by step.  Node values come
+    from the rounded exact control points by de Casteljau, or, with
+    library_nodes, from the library's tables and Bernstein weights, summed
+    left to right."""
     grid = sol.r
     w0 = sol.u[0] if component == "u" else sol.v[0]
     parts = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
-    data = _node_data(sol)[0 if component == "u" else 1]
+    j = 0 if component == "u" else 1
+    last = min(int(np.searchsorted(grid, r_end, side="left")), len(grid) - 1) - 1
+    pieces = []  # (step, piece, tau, node radii, half width)
     for i in range(len(grid) - 1):
         a = grid[i]
         if a >= r_end:
             break
         b = min(grid[i + 1], r_end)
         h = grid[i + 1] - grid[i]
-        c = _reference_coefficients(sol, data, i)
-        pieces = ((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if halved else ((a, b),)
-        for lo, hi in pieces:
+        bounds = ((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if halved else ((a, b),)
+        for piece, (lo, hi) in enumerate(bounds):
             half = 0.5 * (hi - lo)
             rr = 0.5 * (hi + lo) + half * _GL_NODES
-            w = np.maximum(_polyval(c, (rr - a) / h), 0.0)
-            parts.append(half * float(weighted_sum(_GL_WEIGHTS, w**s * rr**m)))
+            pieces.append((i, piece, (rr - a) / h, rr, half))
+    if not pieces:
+        return math.fsum(parts)
+    steps, which, tau, rr, half = (np.array(col) for col in zip(*pieces))
+    if library_nodes:
+        table = sol._tables()[j][steps]
+        # a whole step at the fixed tau of the node cache, the partial one at its own
+        basis = np.array([_GL_BASIS[halved][:, 7 * k : 7 * k + 7] for k in which]).transpose(1, 0, 2)
+        basis[:, steps == last] = np.array(_basis(tau[steps == last]))
+        w = _bernstein(table.T[:, :, None], basis)
+        weighted = _left_to_right(_GL_WEIGHTS, np.maximum(w, 0.0) ** s * rr**m)
+    else:
+        points = np.array([_exact_points(sol)[j][i][2] for i in steps])
+        w = _casteljau(list(points.T[:, :, None]), tau)
+        weighted = np.array([np.dot(_GL_WEIGHTS, f) for f in np.maximum(w, 0.0) ** s * rr**m])
+    parts.extend(half * weighted)
     return math.fsum(parts)
 
 
@@ -108,11 +163,19 @@ def test_evaluate_matches_reference_loop(solution):
     radii = np.concatenate(
         (r, 0.5 * (r[:-1] + r[1:]), np.geomspace(r[0], r[-1], 997), [r[-1] * (1 + 1e-13)])
     )
-    got = solution.evaluate(radii)
-    want = _reference_evaluate(solution, radii)
-    for g, w in zip(got, want):
-        assert g.shape == radii.shape
-        assert np.max(np.abs(g - w)) <= REL * np.max(np.abs(w))
+    assert all(g.shape == radii.shape for g in solution.evaluate(radii))
+    assert max(_exact_errors(solution, radii)) <= EXACT_TOL
+
+
+def test_dense_output_error_against_the_exact_interpolant(slow_decay_3313):
+    # 120 random steps, 19 tau each, all four tables; the Bernstein tables
+    # and evaluator stay an order below the old monomial path's 6.2e-15
+    sol = slow_decay_3313
+    steps = random.Random(9).sample(range(len(sol.r) - 1), 120)
+    tau = np.arange(1, 20) / 20.0
+    radii = np.concatenate([sol.r[i] + tau * (sol.r[i + 1] - sol.r[i]) for i in steps])
+    worst = _exact_errors(sol, radii)
+    assert max(worst) <= EXACT_TOL, worst
 
 
 @pytest.mark.parametrize("halved", [False, True])
@@ -128,14 +191,14 @@ def test_moment_integral_matches_reference_loop(solution, halved):
 
 @pytest.mark.parametrize("halved", [False, True])
 def test_moment_integral_sums_each_step_left_to_right(solution, halved):
-    # with the 7-node sum of each step taken left to right, the reference
-    # loop rounds every part as the library does, so the bits agree
+    # fed the library's node values and summing each step's 7 nodes left to
+    # right, the reference loop rounds every part as the library does
     p, d = solution.params.p, solution.params.d
     r = solution.r
     for r_end in (r[len(r) // 2], 0.5 * (r[len(r) // 2] + r[len(r) // 2 + 1]), r[-1]):
         got = _moment_integral(solution, "v", p + 1.0, d - 1.0, r_end, halved)
         want = _reference_moment_integral(
-            solution, "v", p + 1.0, d - 1.0, r_end, halved, weighted_sum=_left_to_right
+            solution, "v", p + 1.0, d - 1.0, r_end, halved, library_nodes=True
         )
         assert got.hex() == want.hex(), r_end
 
@@ -204,23 +267,31 @@ def test_node_sets_are_built_once_per_solution(slow_decay_3313, monkeypatch):
     sol = _fresh(slow_decay_3313)
     params, r_max = sol.params, sol.r[-1]
     steps = len(sol.r) - 1
-    calls = []
-    horner = RadialSolution._horner
+    calls, built = [], []
+    dense, gauss_nodes = RadialSolution._dense, verify._gauss_nodes
 
     def counted(self, tables, idx, r):
         calls.append((len(tables), np.shape(r)))
-        return horner(self, tables, idx, r)
+        return dense(self, tables, idx, r)
 
-    monkeypatch.setattr(RadialSolution, "_horner", counted)
+    def counted_nodes(lo, hi, halved):
+        built.append((len(lo), halved))
+        return gauss_nodes(lo, hi, halved)
+
+    monkeypatch.setattr(RadialSolution, "_dense", counted)
+    monkeypatch.setattr(verify, "_gauss_nodes", counted_nodes)
     check_energy_growth(sol, 1.0, np.geomspace(r_max / 10.0, r_max / 1.05, 5))
     for R, a1, halved in ((2.0, 0.0, False), (2.0, 5.5, False), (900.0, 0.0, False),
                           (900.0, 11.0, False), (900.0, 5.5, True)):
         check_pohozaev(sol, R, PohozaevWeights.from_a1(params, a1), halved=halved)
-    # u and v at every node of every step, once per halved flag
-    assert [c for c in calls if c[1][0] >= steps] == [(2, (steps, 7)), (2, (2 * steps, 7))]
+    # the nodes of every step, with u and v there, once per halved flag
+    assert [b for b in built if b[0] == steps] == [(steps, False), (steps, True)]
+    assert [len(a) for a in sol._gauss_cache_0] == [steps] * 4
+    assert [len(a) for a in sol._gauss_cache_1] == [2 * steps] * 4
     # one partial interval per moment integral: 5 growth radii, 2 per Pohozaev check
+    assert built.count((1, False)) == 5 + 8 and built.count((1, True)) == 2
     assert calls.count((2, (1, 7))) == 5 + 8
     assert calls.count((2, (2, 7))) == 2
     # the boundary terms of each Pohozaev check
     assert calls.count((4, (1,))) == 5
-    assert len(calls) == 2 + 15 + 5
+    assert len(calls) == 15 + 5

@@ -1,36 +1,48 @@
 """The one-pass event scan against a per-event-function scalar reference.
 
 The reference keeps the earlier scan: each of the four event functions is
-walked over tau = 0, 1/8, ..., 1 through the scalar ``_polyval`` and its
-first bracketing subinterval is bisected on its own; the earliest tau wins,
-ties going to v-zero, then u-zero, then blowup.  ``_scan_events`` must give
-the same bits on the steps of real trajectories and on random steps built
-to hold zeros, blowups, ties and hits at the step start.
+walked over tau = 0, 1/8, ..., 1 through the scalar Bernstein evaluator and
+its first bracketing subinterval is bisected on its own; the earliest tau
+wins, ties going to v-zero, then u-zero, then blowup.  ``_scan_events``
+must find the same event radius and status on the steps of real
+trajectories and on random steps built to hold zeros, blowups, ties and
+hits at the step start, and its event row must agree with the exact
+rational interpolant of the step's data at the reference's tau.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import bernstein_value, hermite_control_points
 from lelab import RadialStatus, SystemParams, integrate, radial
 from lelab.radial import (
     BLOWUP_THRESHOLD,
     EVENT_RTOL,
-    _hermite_coeffs,
+    _basis,
+    _bernstein,
+    _control_points,
     _hull_clear,
-    _polyder,
-    _polyval,
     _rhs,
     _scan_events,
-    _step_coeffs,
+    _step_data,
     _third_derivs,
 )
 
 
-def _first_crossing(c, level, sign, r0, h):
-    g = lambda t: sign * (_polyval(c, t) - level)
+def _step_points(r0, h, y0, k0, y1, k1, p, q, dm1):
+    """Hermite data and control points of u and v on a step, as the scan forms them."""
+    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
+    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
+    data = _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
+    return data, [_control_points(*d) for d in data]
+
+
+def _first_crossing(b, level, sign, r0, h):
+    g = lambda t: sign * (_bernstein(b, _basis(t)) - level)
     if g(0.0) <= 0.0:
         return 1e-9
     prev_t = 0.0
@@ -51,36 +63,46 @@ def _first_crossing(c, level, sign, r0, h):
 
 
 def _reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1):
-    cu, cv = _step_coeffs(r0, h, y0, k0, y1, k1, p, q, dm1)
+    """(tau, status, data of u and v) of the earliest event, or None."""
+    data, (bu, bv) = _step_points(r0, h, y0, k0, y1, k1, p, q, dm1)
     found = [
-        (_first_crossing(cv, 0.0, 1, r0, h), 0, RadialStatus.V_HIT_ZERO),
-        (_first_crossing(cu, 0.0, 1, r0, h), 1, RadialStatus.U_HIT_ZERO),
-        (_first_crossing(cu, BLOWUP_THRESHOLD, -1, r0, h), 2, RadialStatus.BLOWUP),
-        (_first_crossing(cv, BLOWUP_THRESHOLD, -1, r0, h), 2, RadialStatus.BLOWUP),
+        (_first_crossing(bv, 0.0, 1, r0, h), 0, RadialStatus.V_HIT_ZERO),
+        (_first_crossing(bu, 0.0, 1, r0, h), 1, RadialStatus.U_HIT_ZERO),
+        (_first_crossing(bu, BLOWUP_THRESHOLD, -1, r0, h), 2, RadialStatus.BLOWUP),
+        (_first_crossing(bv, BLOWUP_THRESHOLD, -1, r0, h), 2, RadialStatus.BLOWUP),
     ]
     found = [f for f in found if f[0] is not None]
     if not found:
         return None
     t, _, status = min(found)
-    values = (_polyval(cu, t), _polyval(cv, t),
-              _polyval(_polyder(cu), t) / h, _polyval(_polyder(cv), t) / h)
-    return r0 + t * h, status, values
+    return t, status, data
 
 
-def _bits(event):
-    if event is None:
-        return None
-    r_event, status, values = event
-    return float(r_event).hex(), status, tuple(float(w).hex() for w in values)
+# the event row against the exact interpolant P of the step's data D at tau:
+# values within VALUE_TOL sum|D|, slopes h w' within SLOPE_TOL times the size
+# of the data of w - w0 (D with w1 - w0 for the end values)
+VALUE_TOL = 1e-15
+SLOPE_TOL = 1e-14
 
 
 def _check_step(r0, h, y0, y1, p, q, dm1):
     k0 = _rhs(r0, *y0, p, q, dm1)
     k1 = _rhs(r0 + h, *y1, p, q, dm1)
     got = _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1)
-    if got is not None:
-        assert type(got[0]) is float
-    assert _bits(got) == _bits(_reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1))
+    want = _reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1)
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    r_event, status, values = got
+    t, want_status, data = want
+    assert type(r_event) is float
+    assert r_event.hex() == (r0 + t * h).hex() and status is want_status
+    for j, D in enumerate(data):
+        value, slope = values[j], values[j + 2]
+        points = hermite_control_points(D)
+        change = sum(map(abs, D)) - abs(D[0]) - abs(D[4]) + abs(D[4] - D[0])
+        assert abs(Fraction(value) - bernstein_value(points, t)) <= VALUE_TOL * sum(map(abs, D))
+        assert abs(Fraction(slope) * Fraction(h) - bernstein_value(points, t, 1)) <= SLOPE_TOL * change
     return got
 
 
@@ -187,8 +209,8 @@ def _constructed_steps(rng, n):
                 a, b = list(y0), list(y1)
                 if interior:
                     k0, k1, _, _ = _endpoint_derivs(r0, h, a, b, p, q, dm1)
-                    cu, _ = _step_coeffs(r0, h, a, k0, b, k1, p, q, dm1)
-                    w = _polyval(cu, np.linspace(0.0, 1.0, 4001))
+                    _, (bu, _) = _step_points(r0, h, a, k0, b, k1, p, q, dm1)
+                    w = _bernstein(bu, _basis(np.linspace(0.0, 1.0, 4001)))
                     shift = target - (w.max() if top else w.min())
                     a[0] += shift
                     b[0] += shift
@@ -259,11 +281,17 @@ def test_hull_is_sound_near_zero_and_blowup():
 
 
 def test_zero_margin_is_caught(monkeypatch):
-    # the soundness check has teeth: without the margin it finds cleared
-    # steps whose samples reach 0 or 1e8
+    # the hull and the scan share their control points, so rounding alone
+    # cannot take a sample below the smallest one; underflow can: positive
+    # control points of size 2^-1074 give products that round to 0.  The
+    # margin's absolute floor keeps such a step for the scan.
+    tiny = math.ulp(0.0)
+    step = [(1.0, 0.1, (tiny, tiny, 0.0, 0.0), (tiny, tiny, 0.0, 0.0), 3.0, 3.0, 2.0)]
+    assert _hull_tally(step) == (0, [])
     monkeypatch.setattr(radial, "_HULL_MARGIN", 0.0)
-    _, unsound = _hull_tally(_constructed_steps(random.Random(11), 200))
-    assert unsound
+    monkeypatch.setattr(radial, "_ATOL_FLOOR", 0.0)
+    cleared, unsound = _hull_tally(step)
+    assert cleared == 1 and unsound == step
 
 
 def test_non_finite_data_fall_through_to_the_scan():
@@ -298,15 +326,10 @@ def test_hull_clears_every_step_of_a_slow_decay_run(monkeypatch):
     assert scans == []
 
 
-def _bernstein(c):
-    """Degree-7 Bernstein coefficients on [0, 1] of monomial coefficients c."""
-    return [sum(math.comb(i, k) / math.comb(7, k) * c[k] for k in range(i + 1)) for i in range(8)]
-
-
 def test_hull_decision_matches_bernstein_coefficients():
-    # the control points _hull_clear builds from endpoint data are the
-    # Bernstein coefficients of the dense polynomial: away from the band
-    # edges its verdict is the one those coefficients give
+    # the control points _hull_clear builds from endpoint data are those of
+    # the dense polynomial: away from the band edges its verdict is the one
+    # the exact control points give
     rng = random.Random(5)
     verdicts = []
     for _ in range(3000):
@@ -329,9 +352,9 @@ def test_hull_decision_matches_bernstein_coefficients():
             size = sum(map(abs, _scaled(h, *data)))
             m = radial._HULL_MARGIN * size
             top = BLOWUP_THRESHOLD - m
-            for b in _bernstein(_hermite_coeffs(h, *data).tolist()):
+            for b in map(float, hermite_control_points(_scaled(h, *data))):
                 expected = expected and m < b < top
-                ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-10 * size
+                ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-14 * size
         if not ambiguous:
             assert _hull_clear(*args) == expected
             verdicts.append(expected)

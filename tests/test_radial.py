@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import bernstein_value
 from lelab import (
     BadBracketError,
     DecayClass,
@@ -17,7 +18,6 @@ from lelab import (
     shoot_ground_state,
     singular_profile,
 )
-from lelab.radial import _polyval, _polyder
 
 
 def test_symmetric_trajectories_identical():
@@ -66,14 +66,11 @@ def test_ode_residual_at_dense_checkpoints():
         for i in range(len(sol.r) - 1):
             h = sol.r[i + 1] - sol.r[i]
             rm = sol.r[i] + 0.5 * h
+            # the control-point rows, evaluated exactly at the step midpoint
             cu, cv = sol.hermite_coefficients(i)
             cdu, cdv = sol.derivative_coefficients(i)
-            u = _polyval(cu, 0.5)
-            v = _polyval(cv, 0.5)
-            du = _polyval(cdu, 0.5)
-            dv = _polyval(cdv, 0.5)
-            ddu = _polyval(_polyder(cdu), 0.5) / h
-            ddv = _polyval(_polyder(cdv), 0.5) / h
+            u, v, du, dv = (float(bernstein_value(b, 0.5)) for b in (cu, cv, cdu, cdv))
+            ddu, ddv = (float(bernstein_value(b, 0.5, 1)) / h for b in (cdu, cdv))
             c = (d - 1.0) / rm
             res_u = abs(ddu + c * du + v**p) / max(abs(ddu), abs(c * du), v**p)
             res_v = abs(ddv + c * dv + u**q) / max(abs(ddv), abs(c * dv), u**q)
