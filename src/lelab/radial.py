@@ -345,7 +345,8 @@ _HULL_MARGIN = 1e-15
 
 def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
     """Hermite data of u and of v on a step: value and h^k times the k-th
-    derivative, k = 1..3, at each end (k holds u', v', u'', v'')."""
+    derivative, k = 1..3, at each end (k holds u', v', u'', v'').  The hull
+    test and the event scan take the same data."""
     hh = h * h
     h3 = h**3
     return (
@@ -354,25 +355,25 @@ def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
     )
 
 
-def _hull_clear(h, y0, k0, ddd0, y1, k1, ddd1):
+def _hull_clear(data):
     """True when no dense sample of u or v on the step can reach 0 or blowup.
 
     The Bernstein control points of each degree-7 Hermite polynomial on
     [0, 1] bound it (its convex hull).  When all of them lie in
     (m, BLOWUP_THRESHOLD - m), m the _HULL_MARGIN bound above,
-    _scan_events provably returns None, so the caller may skip it.  A
-    non-finite value makes m NaN or inf and gives False, as does any step
-    the margin cannot clear.
+    _scan_events provably returns None on the same data, so the caller
+    may skip it.  A non-finite value makes m NaN or inf and gives False,
+    as does any step the margin cannot clear.
     """
-    for data in _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
-        w0, d0, dd0, t0, w1, d1, dd1, t1 = data
+    for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
         m = _ATOL_FLOOR + _HULL_MARGIN * (
             abs(w0) + abs(d0) + abs(dd0) + abs(t0) + abs(w1) + abs(d1) + abs(dd1) + abs(t1)
         )
+        b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1)
         top = BLOWUP_THRESHOLD - m
-        for b in _control_points(*data):
-            if not m < b < top:
-                return False
+        if not (m < b0 < top and m < b1 < top and m < b2 < top and m < b3 < top
+                and m < b4 < top and m < b5 < top and m < b6 < top and m < b7 < top):
+            return False
     return True
 
 
@@ -386,18 +387,14 @@ _EVENT_LEVEL = np.array([[0.0], [0.0], [BLOWUP_THRESHOLD], [BLOWUP_THRESHOLD]])
 _EVENT_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 
-def _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1):
-    """Earliest event on the accepted step, or None.
+def _scan_events(r0, h, data):
+    """Earliest event on the accepted step [r0, r0 + h] with _step_data data, or None.
 
     Candidates: u or v crossing zero from above, |u| or |v| crossing the
     blowup threshold from below, all sampled at _EVENT_TAU in one pass.  A
     simultaneous zero of u and v (exact symmetric trajectories) is reported
     as V_HIT_ZERO.
     """
-    # k holds (u', v', u'', v''); third derivatives come from the ODE
-    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
-    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
-    data = _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
     bu, bv = (_control_points(*d) for d in data)
     points = (bv, bu, bu, bv)  # one per event function
     # the samples of all four at once; numpy rounds each as the scalar sum does
@@ -585,13 +582,14 @@ def integrate(
             continue
 
         # third derivatives at the step start are those of the previous end;
-        # the first ones wait for the first accepted step, where the scan
-        # would compute them, so an overflow there raises no earlier
+        # the first ones wait for the first accepted step, the first that
+        # needs them, so an overflow there raises no earlier
         if ddd0 is None:
             ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
         ddd1 = _third_derivs(r + h, *k7, y_new[0], y_new[1], p, q, dm1)
-        if not _hull_clear(h, y, k1, ddd0, y_new, k7, ddd1):
-            event = _scan_events(r, h, y, k1, y_new, k7, p, q, dm1)
+        data = _step_data(h, y, k1, ddd0, y_new, k7, ddd1)
+        if not _hull_clear(data):
+            event = _scan_events(r, h, data)
             if event is not None:
                 r_event, status, y_event = event
                 rows_r.append(r_event)

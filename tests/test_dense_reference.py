@@ -51,7 +51,7 @@ def _node_data(sol):
     )
 
 
-def _step_data(sol, data, i):
+def _table_data(sol, data, i):
     """The scaled data D of one table on step i, as the solution builds its tables."""
     h = sol.r[i + 1] - sol.r[i]
     powers = (1.0, h, h * h, h**3)
@@ -69,7 +69,7 @@ def _exact_points(sol):
         for data in _node_data(sol):
             steps = []
             for i in range(len(sol.r) - 1):
-                D = _step_data(sol, data, i)
+                D = _table_data(sol, data, i)
                 ints, den = hermite_integers(D)
                 steps.append((ints, den, [n / den for n in ints], sum(map(abs, D))))
             tables.append(steps)

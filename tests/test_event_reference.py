@@ -33,12 +33,19 @@ from lelab.radial import (
 )
 
 
-def _step_points(r0, h, y0, k0, y1, k1, p, q, dm1):
-    """Hermite data and control points of u and v on a step, as the scan forms them."""
+def _endpoint_derivs(r0, h, y0, y1, p, q, dm1):
+    """Slopes and third derivatives at both ends of a step, as integrate forms them."""
+    k0 = _rhs(r0, *y0, p, q, dm1)
+    k1 = _rhs(r0 + h, *y1, p, q, dm1)
     ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
     ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
-    data = _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
-    return data, [_control_points(*d) for d in data]
+    return k0, k1, ddd0, ddd1
+
+
+def _data(r0, h, y0, y1, p, q, dm1):
+    """The step's Hermite data of u and v, as integrate hands it to the hull and the scan."""
+    k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
+    return _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
 
 
 def _first_crossing(b, level, sign, r0, h):
@@ -62,9 +69,9 @@ def _first_crossing(b, level, sign, r0, h):
     return None
 
 
-def _reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1):
-    """(tau, status, data of u and v) of the earliest event, or None."""
-    data, (bu, bv) = _step_points(r0, h, y0, k0, y1, k1, p, q, dm1)
+def _reference_scan(r0, h, data):
+    """(tau, status) of the earliest event, or None."""
+    bu, bv = (_control_points(*d) for d in data)
     found = [
         (_first_crossing(bv, 0.0, 1, r0, h), 0, RadialStatus.V_HIT_ZERO),
         (_first_crossing(bu, 0.0, 1, r0, h), 1, RadialStatus.U_HIT_ZERO),
@@ -75,7 +82,7 @@ def _reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1):
     if not found:
         return None
     t, _, status = min(found)
-    return t, status, data
+    return t, status
 
 
 # the event row against the exact interpolant P of the step's data D at tau:
@@ -86,15 +93,14 @@ SLOPE_TOL = 1e-14
 
 
 def _check_step(r0, h, y0, y1, p, q, dm1):
-    k0 = _rhs(r0, *y0, p, q, dm1)
-    k1 = _rhs(r0 + h, *y1, p, q, dm1)
-    got = _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1)
-    want = _reference_scan(r0, h, y0, k0, y1, k1, p, q, dm1)
+    data = _data(r0, h, y0, y1, p, q, dm1)
+    got = _scan_events(r0, h, data)
+    want = _reference_scan(r0, h, data)
     assert (got is None) == (want is None)
     if got is None:
         return None
     r_event, status, values = got
-    t, want_status, data = want
+    t, want_status = want
     assert type(r_event) is float
     assert r_event.hex() == (r0 + t * h).hex() and status is want_status
     for j, D in enumerate(data):
@@ -148,24 +154,14 @@ def test_scan_matches_reference_on_random_steps():
 # --- hull pre-test: whenever _hull_clear says a step is clear, the scan is empty
 
 
-def _endpoint_derivs(r0, h, y0, y1, p, q, dm1):
-    """Slopes and third derivatives at both ends of a step, as integrate forms them."""
-    k0 = _rhs(r0, *y0, p, q, dm1)
-    k1 = _rhs(r0 + h, *y1, p, q, dm1)
-    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
-    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
-    return k0, k1, ddd0, ddd1
-
-
 def _scaled(h, w0, d0, dd0, t0, w1, d1, dd1, t1):
     """One component's Hermite data: value and h^k times the k-th derivative, k = 1..3."""
     return w0, h * d0, h * h * dd0, h**3 * t0, w1, h * d1, h * h * dd1, h**3 * t1
 
 
 def _hull_and_scan(r0, h, y0, y1, p, q, dm1):
-    k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
-    clear = _hull_clear(h, y0, k0, ddd0, y1, k1, ddd1)
-    return clear, _scan_events(r0, h, y0, k0, y1, k1, p, q, dm1)
+    data = _data(r0, h, y0, y1, p, q, dm1)
+    return _hull_clear(data), _scan_events(r0, h, data)
 
 
 def _constructed_steps(rng, n):
@@ -208,8 +204,7 @@ def _constructed_steps(rng, n):
                 target = BLOWUP_THRESHOLD - sign * offset if top else sign * offset
                 a, b = list(y0), list(y1)
                 if interior:
-                    k0, k1, _, _ = _endpoint_derivs(r0, h, a, b, p, q, dm1)
-                    _, (bu, _) = _step_points(r0, h, a, k0, b, k1, p, q, dm1)
+                    bu = _control_points(*_data(r0, h, a, b, p, q, dm1)[0])
                     w = _bernstein(bu, _basis(np.linspace(0.0, 1.0, 4001)))
                     shift = target - (w.max() if top else w.min())
                     a[0] += shift
@@ -295,22 +290,23 @@ def test_zero_margin_is_caught(monkeypatch):
 
 
 def test_non_finite_data_fall_through_to_the_scan():
+    clear = lambda *step: _hull_clear(_step_data(*step))
     y0, y1 = (1.0, 1.0, -0.5, -0.5), (0.9, 0.9, -0.5, -0.5)
     k = (-0.5, -0.5, -1.0, -1.0)
     ddd = (0.1, 0.1)
-    assert _hull_clear(0.1, y0, k, ddd, y1, k, ddd)
+    assert clear(0.1, y0, k, ddd, y1, k, ddd)
     for bad in (math.nan, math.inf, -math.inf):
         for j in range(2):
             w = list(ddd)
             w[j] = bad
-            assert not _hull_clear(0.1, y0, k, tuple(w), y1, k, ddd)
+            assert not clear(0.1, y0, k, tuple(w), y1, k, ddd)
             w = list(y1)
             w[j] = bad
-            assert not _hull_clear(0.1, y0, k, ddd, tuple(w), k, ddd)
+            assert not clear(0.1, y0, k, ddd, tuple(w), k, ddd)
             w = list(k)
             w[j + 2] = bad
-            assert not _hull_clear(0.1, y0, tuple(w), ddd, y1, k, ddd)
-    assert not _hull_clear(math.inf, y0, k, ddd, y1, k, ddd)
+            assert not clear(0.1, y0, tuple(w), ddd, y1, k, ddd)
+    assert not clear(math.inf, y0, k, ddd, y1, k, ddd)
 
 
 def test_hull_clears_every_step_of_a_slow_decay_run(monkeypatch):
@@ -356,7 +352,7 @@ def test_hull_decision_matches_bernstein_coefficients():
                 expected = expected and m < b < top
                 ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-14 * size
         if not ambiguous:
-            assert _hull_clear(*args) == expected
+            assert _hull_clear(_step_data(*args)) == expected
             verdicts.append(expected)
     assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
 
@@ -364,14 +360,15 @@ def test_hull_decision_matches_bernstein_coefficients():
 @pytest.mark.parametrize("triple, v0, r_max", [((5, 5, 3), 1.7, 20.0), ((3, 3, 13), 1.0, 100.0)])
 def test_hull_sees_the_derivatives_of_its_own_step(monkeypatch, triple, v0, r_max):
     # integrate carries each step's end third derivatives over to the next
-    # step's start; the hull must see the values of its own endpoints
+    # step's start; the hull and the scan must see the values of the step's
+    # own endpoints
     calls = []
 
-    def recording_hull(*args):
+    def recording_data(*args):
         calls.append(args)
-        return _hull_clear(*args)
+        return _step_data(*args)
 
-    monkeypatch.setattr(radial, "_hull_clear", recording_hull)
+    monkeypatch.setattr(radial, "_step_data", recording_data)
     params = SystemParams(*triple)
     p, q, dm1 = params.p, params.q, params.d - 1.0
     sol = integrate(params, v0, r_max, 1e-9)
