@@ -12,7 +12,7 @@ accepted step is a two-point Hermite polynomial of degree 7; the ODE
 supplies the higher derivatives at the step endpoints, and the radial
 derivatives carry their own Hermite data so that they are reconstructed at
 derivative scale.  The polynomial is held by its 8 Bernstein control
-points, which come straight from the endpoint data; one builder makes
+points, which come straight from the endpoint data; one function makes
 them for the hull test, the event scan and the tables, and one evaluator
 sums the control points against the Bernstein basis.  A solution builds
 its control-point tables once, on first use; dense evaluation at any set
