@@ -95,3 +95,16 @@ def test_whole_trajectory_pin_ground_state():
     assert _trajectory_sha256(sol) == (
         "4646ae6035f0bda0a3461cf012ec8ef114ffd5640499fb7c974f2d139ccaa9fc"
     )
+
+
+def test_whole_trajectory_pin_asymmetric_ground_state():
+    # p != q: the bisection converges where the sign of the side functional
+    # at r_max changes, which moves with r_max, so ROADMAP item 15 will
+    # re-record this pin on purpose when it changes the side rule
+    v0, sol = shoot_ground_state(SystemParams(11, 3, 3), (0.8, 1.5), r_max=150.0, rel_tol=1e-10)
+    assert v0.hex() == "0x1.14a0b1cf1f266p+0"
+    assert sol.status is RadialStatus.COMPLETED
+    assert len(sol.r) == 351
+    assert _trajectory_sha256(sol) == (
+        "e23e0fc5e5b5be8ca43c4e46a1e9e0ce85f9ed5d52413e9275740ee3632dee0e"
+    )
