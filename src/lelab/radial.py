@@ -23,6 +23,7 @@ the samples.  Before that, a hull pre-test checks the control points of
 u and v: when all of them lie inside (m, 1e8 - m), with m a proved
 rounding margin of 1e-15 times the size of the data, no sample can hit,
 and the step is not sampled at all.
+The step kernel has a fast path, bit for bit, for the signs of shots.
 
 Shooting reduces the search for positive trajectories to bisection in the
 initial value v(0); u(0) = 1 is fixed by the scaling freedom of the system.
@@ -314,8 +315,8 @@ def _rhs(r, u, v, du, dv, p, q, dm1):
 
 def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     c = dm1 / r
-    dddu = c / r * du - c * ddu - p * abs(v) ** (p - 1.0) * dv
-    dddv = c / r * dv - c * ddv - q * abs(u) ** (q - 1.0) * du
+    dddu = c / r * du - c * ddu - p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0)) * dv
+    dddv = c / r * dv - c * ddv - q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0)) * du
     return dddu, dddv
 
 
@@ -438,86 +439,95 @@ def _dp54_step(r, h, y, k1, p, q, dm1, rel_tol):
     whose stages or error norm overflow returns (None, None, inf), which
     the caller rejects.  Stage i holds u, v, u', v' in plain floats and its
     slope is (dui, dvi, ddui, ddvi).  Every weighted sum runs left to right
-    from the int 0, as sum() does on Python 3.11 (so a -0.0 sum becomes
-    +0.0), and the zero weights _B2 and _E2 keep their terms, since
-    0.0 * inf is NaN: the bits are those of the generic stage loop that
+    from 0.0, which rounds as the int 0 that starts sum() on Python 3.11
+    (0 + x is 0.0 + x for every float x; a -0.0 sum becomes +0.0) but adds
+    float to float, the cheaper path.  The zero weights _B2 and _E2 keep
+    their terms, since 0.0 * inf is NaN.  Shots have u, v > 0 and u', v' < 0:
+    a stage power sign(w)|w|^p is w ** p when w > 0.0, and an error scale
+    max(|w|, |w7|) one comparison when w and w7 have that sign; zeros, other
+    signs and NaN take the copysign and max(abs, abs) forms (abs clears the
+    sign bit of a NaN).  The bits are those of the generic stage loop that
     tests/test_kernel_reference.py keeps.
     """
     u, v, du, dv = y
     du1, dv1, ddu1, ddv1 = k1
     try:
-        u2 = u + h * (0 + _A21 * du1)
-        v2 = v + h * (0 + _A21 * dv1)
-        du2 = du + h * (0 + _A21 * ddu1)
-        dv2 = dv + h * (0 + _A21 * ddv1)
+        u2 = u + h * (0.0 + _A21 * du1)
+        v2 = v + h * (0.0 + _A21 * dv1)
+        du2 = du + h * (0.0 + _A21 * ddu1)
+        dv2 = dv + h * (0.0 + _A21 * ddv1)
         c = dm1 / (r + _C2 * h)
-        ddu2 = -c * du2 - (math.copysign(abs(v2) ** p, v2) if v2 else 0.0)
-        ddv2 = -c * dv2 - (math.copysign(abs(u2) ** q, u2) if u2 else 0.0)
+        ddu2 = -c * du2 - (v2 ** p if v2 > 0.0 else math.copysign(abs(v2) ** p, v2) if v2 else 0.0)
+        ddv2 = -c * dv2 - (u2 ** q if u2 > 0.0 else math.copysign(abs(u2) ** q, u2) if u2 else 0.0)
 
-        u3 = u + h * (0 + _A31 * du1 + _A32 * du2)
-        v3 = v + h * (0 + _A31 * dv1 + _A32 * dv2)
-        du3 = du + h * (0 + _A31 * ddu1 + _A32 * ddu2)
-        dv3 = dv + h * (0 + _A31 * ddv1 + _A32 * ddv2)
+        u3 = u + h * (0.0 + _A31 * du1 + _A32 * du2)
+        v3 = v + h * (0.0 + _A31 * dv1 + _A32 * dv2)
+        du3 = du + h * (0.0 + _A31 * ddu1 + _A32 * ddu2)
+        dv3 = dv + h * (0.0 + _A31 * ddv1 + _A32 * ddv2)
         c = dm1 / (r + _C3 * h)
-        ddu3 = -c * du3 - (math.copysign(abs(v3) ** p, v3) if v3 else 0.0)
-        ddv3 = -c * dv3 - (math.copysign(abs(u3) ** q, u3) if u3 else 0.0)
+        ddu3 = -c * du3 - (v3 ** p if v3 > 0.0 else math.copysign(abs(v3) ** p, v3) if v3 else 0.0)
+        ddv3 = -c * dv3 - (u3 ** q if u3 > 0.0 else math.copysign(abs(u3) ** q, u3) if u3 else 0.0)
 
-        u4 = u + h * (0 + _A41 * du1 + _A42 * du2 + _A43 * du3)
-        v4 = v + h * (0 + _A41 * dv1 + _A42 * dv2 + _A43 * dv3)
-        du4 = du + h * (0 + _A41 * ddu1 + _A42 * ddu2 + _A43 * ddu3)
-        dv4 = dv + h * (0 + _A41 * ddv1 + _A42 * ddv2 + _A43 * ddv3)
+        u4 = u + h * (0.0 + _A41 * du1 + _A42 * du2 + _A43 * du3)
+        v4 = v + h * (0.0 + _A41 * dv1 + _A42 * dv2 + _A43 * dv3)
+        du4 = du + h * (0.0 + _A41 * ddu1 + _A42 * ddu2 + _A43 * ddu3)
+        dv4 = dv + h * (0.0 + _A41 * ddv1 + _A42 * ddv2 + _A43 * ddv3)
         c = dm1 / (r + _C4 * h)
-        ddu4 = -c * du4 - (math.copysign(abs(v4) ** p, v4) if v4 else 0.0)
-        ddv4 = -c * dv4 - (math.copysign(abs(u4) ** q, u4) if u4 else 0.0)
+        ddu4 = -c * du4 - (v4 ** p if v4 > 0.0 else math.copysign(abs(v4) ** p, v4) if v4 else 0.0)
+        ddv4 = -c * dv4 - (u4 ** q if u4 > 0.0 else math.copysign(abs(u4) ** q, u4) if u4 else 0.0)
 
-        u5 = u + h * (0 + _A51 * du1 + _A52 * du2 + _A53 * du3 + _A54 * du4)
-        v5 = v + h * (0 + _A51 * dv1 + _A52 * dv2 + _A53 * dv3 + _A54 * dv4)
-        du5 = du + h * (0 + _A51 * ddu1 + _A52 * ddu2 + _A53 * ddu3 + _A54 * ddu4)
-        dv5 = dv + h * (0 + _A51 * ddv1 + _A52 * ddv2 + _A53 * ddv3 + _A54 * ddv4)
+        u5 = u + h * (0.0 + _A51 * du1 + _A52 * du2 + _A53 * du3 + _A54 * du4)
+        v5 = v + h * (0.0 + _A51 * dv1 + _A52 * dv2 + _A53 * dv3 + _A54 * dv4)
+        du5 = du + h * (0.0 + _A51 * ddu1 + _A52 * ddu2 + _A53 * ddu3 + _A54 * ddu4)
+        dv5 = dv + h * (0.0 + _A51 * ddv1 + _A52 * ddv2 + _A53 * ddv3 + _A54 * ddv4)
         c = dm1 / (r + _C5 * h)
-        ddu5 = -c * du5 - (math.copysign(abs(v5) ** p, v5) if v5 else 0.0)
-        ddv5 = -c * dv5 - (math.copysign(abs(u5) ** q, u5) if u5 else 0.0)
+        ddu5 = -c * du5 - (v5 ** p if v5 > 0.0 else math.copysign(abs(v5) ** p, v5) if v5 else 0.0)
+        ddv5 = -c * dv5 - (u5 ** q if u5 > 0.0 else math.copysign(abs(u5) ** q, u5) if u5 else 0.0)
 
-        u6 = u + h * (0 + _A61 * du1 + _A62 * du2 + _A63 * du3 + _A64 * du4 + _A65 * du5)
-        v6 = v + h * (0 + _A61 * dv1 + _A62 * dv2 + _A63 * dv3 + _A64 * dv4 + _A65 * dv5)
-        du6 = du + h * (0 + _A61 * ddu1 + _A62 * ddu2 + _A63 * ddu3 + _A64 * ddu4 + _A65 * ddu5)
-        dv6 = dv + h * (0 + _A61 * ddv1 + _A62 * ddv2 + _A63 * ddv3 + _A64 * ddv4 + _A65 * ddv5)
+        u6 = u + h * (0.0 + _A61 * du1 + _A62 * du2 + _A63 * du3 + _A64 * du4 + _A65 * du5)
+        v6 = v + h * (0.0 + _A61 * dv1 + _A62 * dv2 + _A63 * dv3 + _A64 * dv4 + _A65 * dv5)
+        du6 = du + h * (0.0 + _A61 * ddu1 + _A62 * ddu2 + _A63 * ddu3 + _A64 * ddu4 + _A65 * ddu5)
+        dv6 = dv + h * (0.0 + _A61 * ddv1 + _A62 * ddv2 + _A63 * ddv3 + _A64 * ddv4 + _A65 * ddv5)
         c = dm1 / (r + _C6 * h)
-        ddu6 = -c * du6 - (math.copysign(abs(v6) ** p, v6) if v6 else 0.0)
-        ddv6 = -c * dv6 - (math.copysign(abs(u6) ** q, u6) if u6 else 0.0)
+        ddu6 = -c * du6 - (v6 ** p if v6 > 0.0 else math.copysign(abs(v6) ** p, v6) if v6 else 0.0)
+        ddv6 = -c * dv6 - (u6 ** q if u6 > 0.0 else math.copysign(abs(u6) ** q, u6) if u6 else 0.0)
 
-        u7 = u + h * (0 + _B1 * du1 + _B2 * du2 + _B3 * du3 + _B4 * du4 + _B5 * du5 + _B6 * du6)
-        v7 = v + h * (0 + _B1 * dv1 + _B2 * dv2 + _B3 * dv3 + _B4 * dv4 + _B5 * dv5 + _B6 * dv6)
+        u7 = u + h * (0.0 + _B1 * du1 + _B2 * du2 + _B3 * du3 + _B4 * du4 + _B5 * du5 + _B6 * du6)
+        v7 = v + h * (0.0 + _B1 * dv1 + _B2 * dv2 + _B3 * dv3 + _B4 * dv4 + _B5 * dv5 + _B6 * dv6)
         du7 = du + h * (
-            0 + _B1 * ddu1 + _B2 * ddu2 + _B3 * ddu3 + _B4 * ddu4 + _B5 * ddu5 + _B6 * ddu6
+            0.0 + _B1 * ddu1 + _B2 * ddu2 + _B3 * ddu3 + _B4 * ddu4 + _B5 * ddu5 + _B6 * ddu6
         )
         dv7 = dv + h * (
-            0 + _B1 * ddv1 + _B2 * ddv2 + _B3 * ddv3 + _B4 * ddv4 + _B5 * ddv5 + _B6 * ddv6
+            0.0 + _B1 * ddv1 + _B2 * ddv2 + _B3 * ddv3 + _B4 * ddv4 + _B5 * ddv5 + _B6 * ddv6
         )
         c = dm1 / (r + h)
-        ddu7 = -c * du7 - (math.copysign(abs(v7) ** p, v7) if v7 else 0.0)
-        ddv7 = -c * dv7 - (math.copysign(abs(u7) ** q, u7) if u7 else 0.0)
+        ddu7 = -c * du7 - (v7 ** p if v7 > 0.0 else math.copysign(abs(v7) ** p, v7) if v7 else 0.0)
+        ddv7 = -c * dv7 - (u7 ** q if u7 > 0.0 else math.copysign(abs(u7) ** q, u7) if u7 else 0.0)
 
         eu = h * (
-            0 + _E1 * du1 + _E2 * du2 + _E3 * du3 + _E4 * du4 + _E5 * du5 + _E6 * du6 + _E7 * du7
+            0.0 + _E1 * du1 + _E2 * du2 + _E3 * du3 + _E4 * du4 + _E5 * du5 + _E6 * du6 + _E7 * du7
         )
         ev = h * (
-            0 + _E1 * dv1 + _E2 * dv2 + _E3 * dv3 + _E4 * dv4 + _E5 * dv5 + _E6 * dv6 + _E7 * dv7
+            0.0 + _E1 * dv1 + _E2 * dv2 + _E3 * dv3 + _E4 * dv4 + _E5 * dv5 + _E6 * dv6 + _E7 * dv7
         )
         edu = h * (
-            0 + _E1 * ddu1 + _E2 * ddu2 + _E3 * ddu3 + _E4 * ddu4 + _E5 * ddu5 + _E6 * ddu6
+            0.0 + _E1 * ddu1 + _E2 * ddu2 + _E3 * ddu3 + _E4 * ddu4 + _E5 * ddu5 + _E6 * ddu6
             + _E7 * ddu7
         )
         edv = h * (
-            0 + _E1 * ddv1 + _E2 * ddv2 + _E3 * ddv3 + _E4 * ddv4 + _E5 * ddv5 + _E6 * ddv6
+            0.0 + _E1 * ddv1 + _E2 * ddv2 + _E3 * ddv3 + _E4 * ddv4 + _E5 * ddv5 + _E6 * ddv6
             + _E7 * ddv7
         )
+        su = (u7 if u7 > u else u) if u > 0.0 and u7 > 0.0 else max(abs(u), abs(u7))
+        sv = (v7 if v7 > v else v) if v > 0.0 and v7 > 0.0 else max(abs(v), abs(v7))
+        sdu = (-du7 if du7 < du else -du) if du < 0.0 and du7 < 0.0 else max(abs(du), abs(du7))
+        sdv = (-dv7 if dv7 < dv else -dv) if dv < 0.0 and dv7 < 0.0 else max(abs(dv), abs(dv7))
         err_sq = (
             0.0
-            + (eu / (_ATOL_FLOOR + rel_tol * max(abs(u), abs(u7)))) ** 2
-            + (ev / (_ATOL_FLOOR + rel_tol * max(abs(v), abs(v7)))) ** 2
-            + (edu / (_ATOL_FLOOR + rel_tol * max(abs(du), abs(du7)))) ** 2
-            + (edv / (_ATOL_FLOOR + rel_tol * max(abs(dv), abs(dv7)))) ** 2
+            + (eu / (_ATOL_FLOOR + rel_tol * su)) ** 2
+            + (ev / (_ATOL_FLOOR + rel_tol * sv)) ** 2
+            + (edu / (_ATOL_FLOOR + rel_tol * sdu)) ** 2
+            + (edv / (_ATOL_FLOOR + rel_tol * sdv)) ** 2
         )
     except OverflowError:
         return None, None, math.inf
@@ -570,7 +580,7 @@ def integrate(
     event_radius: Optional[float] = None
 
     while r < r_max:
-        h = min(h, r_max - r)
+        h = r_max - r if r_max - r < h else h
         if h < STEP_FLOOR * r:
             status = RadialStatus.STEP_UNDERFLOW
             event_radius = r
@@ -603,8 +613,8 @@ def integrate(
         y = y_new
         k1 = k7
         ddd0 = ddd1
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-        h *= factor
+        factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
+        h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # min(5, max(0.2, .))
 
     arr = np.array(rows, dtype=float)
     return RadialSolution(
