@@ -185,6 +185,64 @@ def _gauss_nodes(lo, hi, halved: bool):
     return (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES, half
 
 
+def _step_parts(rr, half, w, s: float, m: float) -> np.ndarray:
+    """Gauss-Legendre parts half * sum_j weight_j max(w, 0)^s r^m, one per
+    interval, each 7-node sum taken left to right."""
+    f = np.maximum(w, 0.0) ** s * rr**m
+    acc = f[:, 0] * _GL_WEIGHTS[0]
+    for j in range(1, len(_GL_WEIGHTS)):
+        acc = acc + f[:, j] * _GL_WEIGHTS[j]
+    return half * acc
+
+
+_BLOCK = 64
+
+
+def _prefix_table(parts: np.ndarray):
+    """(parts, base, sums): sums[j] is the exact sum of parts[:64 j], an
+    integer in units of 2**base.  sums is None when a part is not finite or
+    their sum could come near overflow; fsum then takes such parts as they
+    are (NaN fails the test too)."""
+    if not np.abs(parts).max() < 2.0**1023 / len(parts):
+        return parts, 0, None
+    mant, exp = np.frexp(parts)
+    base = int(exp.min()) - 53
+    # a part is the int64 mant * 2**53 times 2**shift; the shifted integers
+    # are made and added one at a time, so no list of them all is held
+    ints, shifts = (mant * 2.0**53).astype(np.int64).tolist(), (exp - (53 + base)).tolist()
+    sums = [0]
+    for lo in range(0, len(parts) - _BLOCK + 1, _BLOCK):
+        block = zip(ints[lo : lo + _BLOCK], shifts[lo : lo + _BLOCK])
+        sums.append(sums[-1] + sum(i << k for i, k in block))
+    return parts, base, sums
+
+
+def _expansion(n: int, base: int) -> list[float]:
+    """Floats of at most 53 bits each that add exactly to n * 2**base.
+
+    ldexp places the top bits, so an integer of 2**1024 or more (in units of
+    a small base) does not overflow float().  When n * 2**base is a sum of
+    floats, every piece is a multiple of 2**-1074, so a subnormal piece is
+    exact too.
+    """
+    sign, n, pieces = (-1.0 if n < 0 else 1.0), abs(n), []
+    while n:
+        shift = max(n.bit_length() - 53, 0)
+        top = n >> shift
+        pieces.append(sign * math.ldexp(float(top), shift + base))
+        n -= top << shift
+    return pieces
+
+
+def _prefix_parts(table, rows: int) -> list[float]:
+    """Floats whose exact sum is that of the table's parts[:rows]."""
+    parts, base, sums = table
+    if sums is None:
+        return parts[:rows].tolist()
+    j = rows // _BLOCK
+    return _expansion(sums[j], base) + parts[_BLOCK * j : rows].tolist()
+
+
 def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
                      r_end: float, halved: bool = False) -> float:
     """integral_0^r_end w^s r^m dr on the dense output, w = u or v.
@@ -193,13 +251,19 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
     nodes of the degree-7 Hermite reconstruction (split in half when
     halved, the re-quadrature oracle).  The nodes of every full step, with
     u and v there from the fixed Bernstein weights _GL_BASIS, are built
-    once per solution and halved flag and cached
-    on the solution; a call takes the steps below r_end from that cache
-    and evaluates only the last, partial interval afresh.  Each step's
-    weighted sum runs left to right over its 7 nodes, so a part's bits do
-    not depend on r_end or on earlier calls.  The unsampled core
-    [0, r_start] is closed with the leading constant term; slightly
-    negative interpolant values near a located zero are clamped at zero.
+    once per solution and halved flag and cached on the solution.  From
+    them each key (component, s, m, halved) computes the part of every
+    whole step once, each step's weighted sum left to right over its 7
+    nodes, and keeps with the parts their exact sums at every 64th step
+    as integers (_prefix_table).  A call adds, with math.fsum, the closed
+    core, the exact block sum below r_end split into floats, the at most
+    63 parts after it, and the parts of the last, partial interval,
+    evaluated afresh.  fsum rounds the exact total, which is the exact sum
+    of all the parts, so the result has the bits of an fsum over every
+    part and depends neither on r_end's neighbours nor on earlier calls.
+    The unsampled core [0, r_start] is closed with the leading constant
+    term; slightly negative interpolant values near a located zero are
+    clamped at zero.
     """
     grid = sol.r
     if r_end > grid[-1] * (1 + 1e-12):
@@ -216,16 +280,18 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
                   for t in sol._tables()[:2])
             cached = (rr, half, *uv)
             object.__setattr__(sol, name, cached)
-        rows = (n - 1) * (2 if halved else 1)
+        tables = getattr(sol, "_moment_parts", None)
+        if tables is None:
+            tables = {}
+            object.__setattr__(sol, "_moment_parts", tables)
+        key = (component, s, m, halved)
+        if key not in tables:
+            rr, half, u, v = cached
+            tables[key] = _prefix_table(_step_parts(rr, half, u if component == "u" else v, s, m))
         rr, half = _gauss_nodes(grid[n - 1 : n], np.minimum(grid[n : n + 1], r_end), halved)
-        last = (rr, half, *sol._dense(sol._tables()[:2], n - 1, rr))
-        for rr, half, u, v in ([a[:rows] for a in cached], last):
-            f = np.maximum(u if component == "u" else v, 0.0) ** s * rr**m
-            acc = f[:, 0] * _GL_WEIGHTS[0]
-            for j in range(1, len(_GL_WEIGHTS)):
-                acc = acc + f[:, j] * _GL_WEIGHTS[j]
-            parts.extend(half * acc)
-    # fsum rounds the exact sum, so the order of the parts does not matter
+        u, v = sol._dense(sol._tables()[:2], n - 1, rr)
+        parts += _prefix_parts(tables[key], (n - 1) * (2 if halved else 1))
+        parts += _step_parts(rr, half, u if component == "u" else v, s, m).tolist()
     return math.fsum(parts)
 
 
@@ -246,8 +312,8 @@ def pohozaev_sides(
     sides and the individual terms.
     """
     p, q, d = sol.params.p, sol.params.q, sol.params.d
-    if abs(weights.a1 + weights.a2 - (d - 2.0)) > 1e-12 * max(1.0, abs(d)):
-        raise InvalidInputError(f"weights must satisfy a1 + a2 = d - 2, got {weights}")
+    if not abs(weights.a1 + weights.a2 - (d - 2.0)) <= 1e-12 * max(1.0, abs(d)):  # NaN and inf fail too
+        raise InvalidInputError(f"weights must be finite with a1 + a2 = d - 2, got {weights}")
     R = float(R)
     if not sol.r[0] <= R <= sol.r[-1] * (1 + 1e-12):  # NaN fails too
         raise InvalidInputError(f"R={R} outside the sampled grid")
@@ -323,8 +389,8 @@ def check_energy_growth(
     the moment integral of a regular solution saturates; the check then
     expects slope 0 and flags the saturated regime.
     """
-    if not s > 0.0:
-        raise InvalidInputError("s must be positive")
+    if not 0.0 < s < math.inf:  # NaN fails too
+        raise InvalidInputError(f"s must be positive and finite, got {s!r}")
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 4 or not np.all(np.diff(radii) > 0.0):
         raise InvalidInputError("need >= 4 strictly increasing radii")
@@ -337,6 +403,8 @@ def check_energy_growth(
     d = sol.params.d
     c = derive_constants(sol.params)
     M = np.array([_moment_integral(sol, "u", s, d - 1.0, R) for R in radii])
+    if not np.all((M > 0.0) & (M < math.inf)):  # NaN fails too
+        raise InvalidInputError(f"moment integrals M(R) must be finite and positive, got {M.tolist()}")
     log_r = np.log(radii)
     columns, model = [np.ones_like(log_r), log_r], "line"
     if c.lam > 0.0 and c.mu > 0.0:
