@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ def test_verify_subcommands_all_pass(capsys):
 ])
 def test_numerical_failures_exit_2_on_one_line(argv, capsys):
     rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tail", [
+    ["energy", "--s", "inf", "--radii", "10,20,40,80"],
+    ["energy", "--s", "1e308", "--radii", "10,20,40,80"],
+    ["pohozaev", "--R", "5", "--a1", "nan"],
+    ["pohozaev", "--R", "5", "--a1", "inf"],
+    ["pohozaev", "--R", "5", "--a1=-inf"],
+])
+def test_non_finite_verify_inputs_exit_2_without_a_warning(tail, capsys):
+    argv = ["verify", tail[0], "-p", "3", "-q", "3", "-d", "13", "--v0", "1", *tail[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        rc = run(argv)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from lelab import (
     spherical_mode_margins,
 )
 from lelab.radial import RadialSolution
+from lelab import verify
 from lelab.verify import _cutoff_quotient, _moment_integral
 from conftest import sample_supercritical
 
@@ -89,6 +93,19 @@ def test_pohozaev_zero_solution():
 def test_pohozaev_weight_validation(slow_decay_3313):
     with pytest.raises(InvalidInputError):
         check_pohozaev(slow_decay_3313, 2.0, PohozaevWeights(1.0, 1.0))
+
+
+@pytest.mark.parametrize("weights", [
+    PohozaevWeights(math.nan, 11.0),
+    PohozaevWeights(11.0, math.nan),
+    PohozaevWeights(0.0, math.inf),
+    PohozaevWeights.from_a1(SystemParams(3, 3, 13), math.nan),
+    PohozaevWeights.from_a1(SystemParams(3, 3, 13), math.inf),
+    PohozaevWeights.from_a1(SystemParams(3, 3, 13), -math.inf),
+])
+def test_pohozaev_rejects_non_finite_weights(slow_decay_3313, weights):
+    with pytest.raises(InvalidInputError, match="finite"):
+        pohozaev_sides(slow_decay_3313, 2.0, weights)
 
 
 def test_pohozaev_residual_invariant_under_splitting():
@@ -182,6 +199,32 @@ def test_energy_growth_fits_a_line_without_singular_pair():
 def test_energy_growth_validation(slow_decay_3313):
     with pytest.raises(InvalidInputError):
         check_energy_growth(slow_decay_3313, 3.0, [10.0, 20.0])
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, -math.inf])
+def test_energy_growth_rejects_a_non_finite_exponent(slow_decay_3313, s):
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        check_energy_growth(slow_decay_3313, s, [10.0, 20.0, 40.0, 80.0])
+
+
+def test_energy_growth_rejects_a_moment_integral_that_underflows(slow_decay_3313):
+    # u < 1 off the origin, so u^1e308 is 0 at every node and M(R) has no log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            check_energy_growth(slow_decay_3313, 1e308, [10.0, 20.0, 40.0, 80.0])
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_energy_growth_rejects_moment_integrals_not_finite_and_positive(slow_decay_3313, monkeypatch, value):
+    moment = _moment_integral
+
+    def one_bad(sol, component, s, m, R, halved=False):
+        return value if R == 40.0 else moment(sol, component, s, m, R, halved)
+
+    monkeypatch.setattr(verify, "_moment_integral", one_bad)
+    with pytest.raises(InvalidInputError, match="finite and positive"):
+        check_energy_growth(slow_decay_3313, 3.0, [10.0, 20.0, 40.0, 80.0])
 
 
 def test_rayleigh_examples():
