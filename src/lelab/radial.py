@@ -6,12 +6,15 @@ The system in radial coordinates,
     v'' + (d-1)/r v' + |u|^(q-1) u = 0,
 
 is integrated from r_start = 1e-6 with a second-order series start forced
-by regularity at the origin, using an adaptive embedded Dormand-Prince 5(4)
-pair whose stages are written out on plain floats.  Dense output on each
-accepted step is a two-point Hermite polynomial of degree 7; the ODE
-supplies the higher derivatives at the step endpoints, and the radial
-derivatives carry their own Hermite data so that they are reconstructed at
-derivative scale.  The polynomial is held by its 8 Bernstein control
+by regularity at the origin, using Prince & Dormand's adaptive 8(5,3)
+pair, DOP853, whose 12 stages are written out on plain floats.  Dense
+output on each accepted step is a two-point Hermite polynomial of degree
+7; the ODE supplies the higher derivatives at the step endpoints, and the
+radial derivatives carry their own Hermite data so that they are
+reconstructed at derivative scale.  Its interpolation error is bounded on
+every step: the degree-9 Hermite correction, from the next derivative at
+both ends, is held to the tolerance of the step's error control, and a
+step it exceeds is shortened.  The polynomial is held by its 8 Bernstein control
 points, which come straight from the endpoint data; one function makes
 them for the hull test, the event scan and the tables, and one evaluator
 sums the control points against the Bernstein basis.  A solution builds
@@ -72,37 +75,80 @@ STEP_FLOOR = 1e-14
 EVENT_RTOL = 1e-12
 _ATOL_FLOOR = 1e-300
 
-# Dormand-Prince 5(4): 5th-order propagation, 4th-order error estimate, FSAL.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+# Prince & Dormand's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10): 8th-order propagation, error estimates of orders 5 and 3,
+# FSAL.  Row i of _DOP_A holds a_i1 .. a_i,i-1 of stage i = 2..12.
+_DOP_C = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
-_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-_DP_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_DOP_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-# the same tableau unpacked for the written-out step in _dp54_step
-_C2, _C3, _C4, _C5, _C6 = _DP_C
+_DOP_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+# the 5th-order estimate; the 3rd-order one is b minus the weights bhh
+_DOP_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_DOP_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+            11: 0.220588235294117647058823529412e-1}
+_DOP_E3 = tuple(b - _DOP_BHH.get(i, 0.0) for i, b in enumerate(_DOP_B))
+# the same tableau unpacked for the written-out step in _dop853_step; the
+# zero weights, skipped there, go to _
+_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12 = _DOP_C
 (
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-) = _DP_A
-_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
-
+    (_A2_1,),
+    (_A3_1, _A3_2),
+    (_A4_1, _, _A4_3),
+    (_A5_1, _, _A5_3, _A5_4),
+    (_A6_1, _, _, _A6_4, _A6_5),
+    (_A7_1, _, _, _A7_4, _A7_5, _A7_6),
+    (_A8_1, _, _, _A8_4, _A8_5, _A8_6, _A8_7),
+    (_A9_1, _, _, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
+    (_A10_1, _, _, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
+    (_A11_1, _, _, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
+    (_A12_1, _, _, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11),
+) = _DOP_A
+_B1, _, _, _, _, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = _DOP_B
+_E5_1, _, _, _, _, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = _DOP_E5
+_E3_1, _, _, _, _, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = _DOP_E3
 
 def _signed_pow(w: float, e: float) -> float:
     if w == 0.0:
@@ -281,7 +327,17 @@ class RadialSolution:
         return cdu[i], cdv[i]
 
     def evaluate(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense evaluation of (u, v, u', v') at radii inside the grid."""
+        """Dense evaluation of (u, v, u', v') at radii inside the grid.
+
+        Between rows i and i+1 each of u, v, u', v' is the degree-7 Hermite
+        polynomial of the two rows' data.  While u and v are positive at
+        both rows, integrate held the estimate of its interpolation error,
+        the degree-9 Hermite correction, to at most 1e-300 +
+        rel_tol max(|w_i|, |w_i+1|) for each component w, so the dense
+        value strays from the solution by at most that plus the error the
+        integration carries at the rows.  The step into an event row is
+        not bounded this way.
+        """
         tables = self._tables()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         eps = 1e-12 * max(1.0, self.r[-1])
@@ -318,6 +374,80 @@ def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     dddu = c / r * du - c * ddu - p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0)) * dv
     dddv = c / r * dv - c * ddv - q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0)) * du
     return dddu, dddv
+
+
+def _dense_derivs(r, y, k, ddd, p, q, dm1):
+    """Fourth and fifth derivatives (d4u, d4v, d5u, d5v) where u, v > 0.
+
+    The ODE differentiated twice more than in _third_derivs; the dense
+    output bound takes them.
+    """
+    u, v, du, dv = y
+    ddu, ddv = k[2:]
+    dddu, dddv = ddd
+    c = dm1 / r
+    cr = c / r
+    # fv, fv2, fv3: the first three derivatives of v^p with respect to v
+    fv = p * v ** (p - 1.0)
+    fv2 = (p - 1.0) * fv / v
+    fv3 = (p - 2.0) * fv2 / v
+    fu = q * u ** (q - 1.0)
+    fu2 = (q - 1.0) * fu / u
+    fu3 = (q - 2.0) * fu2 / u
+    d4u = -2.0 * cr / r * du + 2.0 * cr * ddu - c * dddu - fv2 * dv * dv - fv * ddv
+    d4v = -2.0 * cr / r * dv + 2.0 * cr * ddv - c * dddv - fu2 * du * du - fu * ddu
+    d5u = (
+        6.0 * cr / (r * r) * du - 6.0 * cr / r * ddu + 3.0 * cr * dddu - c * d4u
+        - fv3 * dv * dv * dv - 3.0 * fv2 * dv * ddv - fv * dddv
+    )
+    d5v = (
+        6.0 * cr / (r * r) * dv - 6.0 * cr / r * ddv + 3.0 * cr * dddv - c * d4v
+        - fu3 * du * du * du - 3.0 * fu2 * du * ddu - fu * dddu
+    )
+    return d4u, d4v, d5u, d5v
+
+
+def _dense_error(h, rel_tol, start, end):
+    """Estimated error of a step's dense output, in units of the error control.
+
+    start and end hold (y, k, ddd, d45) at the step's ends: u, v, u', v'
+    and their derivatives through the fifth.  Each table (u, v, u', v')
+    interpolates a component w and its first three derivatives by the
+    degree-7 Hermite polynomial P7.  With the fourth derivative of w at
+    both ends too, the degree-9 interpolant is P7 + tau^4 (1-tau)^4
+    (a (1-tau) + b tau), where 24 a and 24 b are h^4 w'''' less P7''''
+    at tau = 0 and 1; the correction is at most max(|a|, |b|) / 256.
+    With m = 24 (a + b) and n = 24 (a - b), written out in the sums s_k
+    and differences e_k of h^k w^(k) at the two ends, that is
+    (|m| + |n|) / 12288.  Returns the largest correction over the four
+    tables, each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|).
+    """
+    (u0, v0, du0, dv0), (_, _, ddu0, ddv0), (dddu0, dddv0), (d4u0, d4v0, d5u0, d5v0) = start
+    (u1, v1, du1, dv1), (_, _, ddu1, ddv1), (dddu1, dddv1), (d4u1, d4v1, d5u1, d5v1) = end
+    h2 = h * h
+    h3 = h2 * h
+    h4 = h2 * h2
+    h5 = h4 * h
+    worst = 0.0
+    for w0, d0, dd0, t0, f0, g0, w1, d1, dd1, t1, f1, g1 in (
+        (u0, du0, ddu0, dddu0, d4u0, d5u0, u1, du1, ddu1, dddu1, d4u1, d5u1),
+        (v0, dv0, ddv0, dddv0, d4v0, d5v0, v1, dv1, ddv1, dddv1, d4v1, d5v1),
+    ):
+        s1, e1 = h * (d0 + d1), h * (d0 - d1)
+        s2, e2 = h2 * (dd0 + dd1), h2 * (dd0 - dd1)
+        s3, e3 = h3 * (t0 + t1), h3 * (t0 - t1)
+        s4, e4 = h4 * (f0 + f1), h4 * (f0 - f1)
+        s5, e5 = h5 * (g0 + g1), h5 * (g0 - g1)
+        # the table of w, then that of w' (its data h times w' and up)
+        m = 120.0 * e1 + 60.0 * s2 + 12.0 * e3 + s4
+        n = 840.0 * s1 + 180.0 * e2 + 20.0 * s3 + e4 + 1680.0 * (w0 - w1)
+        x = (abs(m) + abs(n)) / (_ATOL_FLOOR + rel_tol * max(abs(w0), abs(w1)))
+        worst = x if x > worst else worst
+        m = 120.0 * e2 + 60.0 * s3 + 12.0 * e4 + s5
+        n = 840.0 * s2 + 180.0 * e3 + 20.0 * s4 + e5 + 1680.0 * e1
+        x = (abs(m) + abs(n)) / (h * (_ATOL_FLOOR + rel_tol * max(abs(d0), abs(d1))))
+        worst = x if x > worst else worst
+    return worst / 12288.0
 
 
 # Relative margin of the hull test.  Let D be one component's data on a
@@ -432,106 +562,188 @@ def _scan_events(r0, h, data):
     return r0 + t_star * h, status, (*values, *slopes)
 
 
-def _dp54_step(r, h, y, k1, p, q, dm1, rel_tol):
-    """One Dormand-Prince 5(4) trial step from (r, y) with FSAL slope k1.
+def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
+    """One DOP853 trial step from (r, y) with FSAL slope k1.
 
-    Returns (y_new, k7, err), k7 being the slope at r + h; a trial step
-    whose stages or error norm overflow returns (None, None, inf), which
+    Returns (y_new, k13, err), k13 being the slope at r + h; a trial step
+    whose stages or error norms overflow returns (None, None, inf), which
     the caller rejects.  Stage i holds u, v, u', v' in plain floats and its
     slope is (dui, dvi, ddui, ddvi).  Every weighted sum runs left to right
     from 0.0, which rounds as the int 0 that starts sum() on Python 3.11
     (0 + x is 0.0 + x for every float x; a -0.0 sum becomes +0.0) but adds
-    float to float, the cheaper path.  The zero weights _B2 and _E2 keep
-    their terms, since 0.0 * inf is NaN.  Shots have u, v > 0 and u', v' < 0:
-    a stage power sign(w)|w|^p is w ** p when w > 0.0, and an error scale
-    max(|w|, |w7|) one comparison when w and w7 have that sign; zeros, other
-    signs and NaN take the copysign and max(abs, abs) forms (abs clears the
-    sign bit of a NaN).  The bits are those of the generic stage loop that
-    tests/test_kernel_reference.py keeps.
+    float to float, the cheaper path.  Zero tableau weights are skipped:
+    their terms are not formed, so an infinite slope they multiply does not
+    make the sum NaN (0.0 * inf is NaN).  The error norm is Hairer's
+    err5^2 h / sqrt(4 (err5^2 + 0.01 err3^2)) over the four components,
+    each estimate scaled by 1e-300 + rel_tol max(|w|, |w_new|); an infinite
+    or NaN norm is returned as inf.  Shots have u, v > 0 and u', v' < 0: a
+    stage power sign(w)|w|^p is w ** p when w > 0.0, and an error scale
+    max(|w|, |w_new|) one comparison when w and w_new have that sign;
+    zeros, other signs and NaN take the copysign and max(abs, abs) forms
+    (abs clears the sign bit of a NaN).  The bits are those of the generic
+    stage loop that tests/test_kernel_reference.py keeps.
     """
     u, v, du, dv = y
     du1, dv1, ddu1, ddv1 = k1
     try:
-        u2 = u + h * (0.0 + _A21 * du1)
-        v2 = v + h * (0.0 + _A21 * dv1)
-        du2 = du + h * (0.0 + _A21 * ddu1)
-        dv2 = dv + h * (0.0 + _A21 * ddv1)
+        u2 = u + h * (0.0 + _A2_1 * du1)
+        v2 = v + h * (0.0 + _A2_1 * dv1)
+        du2 = du + h * (0.0 + _A2_1 * ddu1)
+        dv2 = dv + h * (0.0 + _A2_1 * ddv1)
         c = dm1 / (r + _C2 * h)
         ddu2 = -c * du2 - (v2 ** p if v2 > 0.0 else math.copysign(abs(v2) ** p, v2) if v2 else 0.0)
         ddv2 = -c * dv2 - (u2 ** q if u2 > 0.0 else math.copysign(abs(u2) ** q, u2) if u2 else 0.0)
 
-        u3 = u + h * (0.0 + _A31 * du1 + _A32 * du2)
-        v3 = v + h * (0.0 + _A31 * dv1 + _A32 * dv2)
-        du3 = du + h * (0.0 + _A31 * ddu1 + _A32 * ddu2)
-        dv3 = dv + h * (0.0 + _A31 * ddv1 + _A32 * ddv2)
+        u3 = u + h * (0.0 + _A3_1 * du1 + _A3_2 * du2)
+        v3 = v + h * (0.0 + _A3_1 * dv1 + _A3_2 * dv2)
+        du3 = du + h * (0.0 + _A3_1 * ddu1 + _A3_2 * ddu2)
+        dv3 = dv + h * (0.0 + _A3_1 * ddv1 + _A3_2 * ddv2)
         c = dm1 / (r + _C3 * h)
         ddu3 = -c * du3 - (v3 ** p if v3 > 0.0 else math.copysign(abs(v3) ** p, v3) if v3 else 0.0)
         ddv3 = -c * dv3 - (u3 ** q if u3 > 0.0 else math.copysign(abs(u3) ** q, u3) if u3 else 0.0)
 
-        u4 = u + h * (0.0 + _A41 * du1 + _A42 * du2 + _A43 * du3)
-        v4 = v + h * (0.0 + _A41 * dv1 + _A42 * dv2 + _A43 * dv3)
-        du4 = du + h * (0.0 + _A41 * ddu1 + _A42 * ddu2 + _A43 * ddu3)
-        dv4 = dv + h * (0.0 + _A41 * ddv1 + _A42 * ddv2 + _A43 * ddv3)
+        u4 = u + h * (0.0 + _A4_1 * du1 + _A4_3 * du3)
+        v4 = v + h * (0.0 + _A4_1 * dv1 + _A4_3 * dv3)
+        du4 = du + h * (0.0 + _A4_1 * ddu1 + _A4_3 * ddu3)
+        dv4 = dv + h * (0.0 + _A4_1 * ddv1 + _A4_3 * ddv3)
         c = dm1 / (r + _C4 * h)
         ddu4 = -c * du4 - (v4 ** p if v4 > 0.0 else math.copysign(abs(v4) ** p, v4) if v4 else 0.0)
         ddv4 = -c * dv4 - (u4 ** q if u4 > 0.0 else math.copysign(abs(u4) ** q, u4) if u4 else 0.0)
 
-        u5 = u + h * (0.0 + _A51 * du1 + _A52 * du2 + _A53 * du3 + _A54 * du4)
-        v5 = v + h * (0.0 + _A51 * dv1 + _A52 * dv2 + _A53 * dv3 + _A54 * dv4)
-        du5 = du + h * (0.0 + _A51 * ddu1 + _A52 * ddu2 + _A53 * ddu3 + _A54 * ddu4)
-        dv5 = dv + h * (0.0 + _A51 * ddv1 + _A52 * ddv2 + _A53 * ddv3 + _A54 * ddv4)
+        u5 = u + h * (0.0 + _A5_1 * du1 + _A5_3 * du3 + _A5_4 * du4)
+        v5 = v + h * (0.0 + _A5_1 * dv1 + _A5_3 * dv3 + _A5_4 * dv4)
+        du5 = du + h * (0.0 + _A5_1 * ddu1 + _A5_3 * ddu3 + _A5_4 * ddu4)
+        dv5 = dv + h * (0.0 + _A5_1 * ddv1 + _A5_3 * ddv3 + _A5_4 * ddv4)
         c = dm1 / (r + _C5 * h)
         ddu5 = -c * du5 - (v5 ** p if v5 > 0.0 else math.copysign(abs(v5) ** p, v5) if v5 else 0.0)
         ddv5 = -c * dv5 - (u5 ** q if u5 > 0.0 else math.copysign(abs(u5) ** q, u5) if u5 else 0.0)
 
-        u6 = u + h * (0.0 + _A61 * du1 + _A62 * du2 + _A63 * du3 + _A64 * du4 + _A65 * du5)
-        v6 = v + h * (0.0 + _A61 * dv1 + _A62 * dv2 + _A63 * dv3 + _A64 * dv4 + _A65 * dv5)
-        du6 = du + h * (0.0 + _A61 * ddu1 + _A62 * ddu2 + _A63 * ddu3 + _A64 * ddu4 + _A65 * ddu5)
-        dv6 = dv + h * (0.0 + _A61 * ddv1 + _A62 * ddv2 + _A63 * ddv3 + _A64 * ddv4 + _A65 * ddv5)
+        u6 = u + h * (0.0 + _A6_1 * du1 + _A6_4 * du4 + _A6_5 * du5)
+        v6 = v + h * (0.0 + _A6_1 * dv1 + _A6_4 * dv4 + _A6_5 * dv5)
+        du6 = du + h * (0.0 + _A6_1 * ddu1 + _A6_4 * ddu4 + _A6_5 * ddu5)
+        dv6 = dv + h * (0.0 + _A6_1 * ddv1 + _A6_4 * ddv4 + _A6_5 * ddv5)
         c = dm1 / (r + _C6 * h)
         ddu6 = -c * du6 - (v6 ** p if v6 > 0.0 else math.copysign(abs(v6) ** p, v6) if v6 else 0.0)
         ddv6 = -c * dv6 - (u6 ** q if u6 > 0.0 else math.copysign(abs(u6) ** q, u6) if u6 else 0.0)
 
-        u7 = u + h * (0.0 + _B1 * du1 + _B2 * du2 + _B3 * du3 + _B4 * du4 + _B5 * du5 + _B6 * du6)
-        v7 = v + h * (0.0 + _B1 * dv1 + _B2 * dv2 + _B3 * dv3 + _B4 * dv4 + _B5 * dv5 + _B6 * dv6)
-        du7 = du + h * (
-            0.0 + _B1 * ddu1 + _B2 * ddu2 + _B3 * ddu3 + _B4 * ddu4 + _B5 * ddu5 + _B6 * ddu6
-        )
-        dv7 = dv + h * (
-            0.0 + _B1 * ddv1 + _B2 * ddv2 + _B3 * ddv3 + _B4 * ddv4 + _B5 * ddv5 + _B6 * ddv6
-        )
-        c = dm1 / (r + h)
+        u7 = u + h * (0.0 + _A7_1 * du1 + _A7_4 * du4 + _A7_5 * du5 + _A7_6 * du6)
+        v7 = v + h * (0.0 + _A7_1 * dv1 + _A7_4 * dv4 + _A7_5 * dv5 + _A7_6 * dv6)
+        du7 = du + h * (0.0 + _A7_1 * ddu1 + _A7_4 * ddu4 + _A7_5 * ddu5 + _A7_6 * ddu6)
+        dv7 = dv + h * (0.0 + _A7_1 * ddv1 + _A7_4 * ddv4 + _A7_5 * ddv5 + _A7_6 * ddv6)
+        c = dm1 / (r + _C7 * h)
         ddu7 = -c * du7 - (v7 ** p if v7 > 0.0 else math.copysign(abs(v7) ** p, v7) if v7 else 0.0)
         ddv7 = -c * dv7 - (u7 ** q if u7 > 0.0 else math.copysign(abs(u7) ** q, u7) if u7 else 0.0)
 
-        eu = h * (
-            0.0 + _E1 * du1 + _E2 * du2 + _E3 * du3 + _E4 * du4 + _E5 * du5 + _E6 * du6 + _E7 * du7
+        u8 = u + h * (0.0 + _A8_1 * du1 + _A8_4 * du4 + _A8_5 * du5 + _A8_6 * du6 + _A8_7 * du7)
+        v8 = v + h * (0.0 + _A8_1 * dv1 + _A8_4 * dv4 + _A8_5 * dv5 + _A8_6 * dv6 + _A8_7 * dv7)
+        du8 = du + h * (0.0 + _A8_1 * ddu1 + _A8_4 * ddu4 + _A8_5 * ddu5 + _A8_6 * ddu6
+            + _A8_7 * ddu7)
+        dv8 = dv + h * (0.0 + _A8_1 * ddv1 + _A8_4 * ddv4 + _A8_5 * ddv5 + _A8_6 * ddv6
+            + _A8_7 * ddv7)
+        c = dm1 / (r + _C8 * h)
+        ddu8 = -c * du8 - (v8 ** p if v8 > 0.0 else math.copysign(abs(v8) ** p, v8) if v8 else 0.0)
+        ddv8 = -c * dv8 - (u8 ** q if u8 > 0.0 else math.copysign(abs(u8) ** q, u8) if u8 else 0.0)
+
+        u9 = u + h * (0.0 + _A9_1 * du1 + _A9_4 * du4 + _A9_5 * du5 + _A9_6 * du6 + _A9_7 * du7
+            + _A9_8 * du8)
+        v9 = v + h * (0.0 + _A9_1 * dv1 + _A9_4 * dv4 + _A9_5 * dv5 + _A9_6 * dv6 + _A9_7 * dv7
+            + _A9_8 * dv8)
+        du9 = du + h * (0.0 + _A9_1 * ddu1 + _A9_4 * ddu4 + _A9_5 * ddu5 + _A9_6 * ddu6
+            + _A9_7 * ddu7 + _A9_8 * ddu8)
+        dv9 = dv + h * (0.0 + _A9_1 * ddv1 + _A9_4 * ddv4 + _A9_5 * ddv5 + _A9_6 * ddv6
+            + _A9_7 * ddv7 + _A9_8 * ddv8)
+        c = dm1 / (r + _C9 * h)
+        ddu9 = -c * du9 - (v9 ** p if v9 > 0.0 else math.copysign(abs(v9) ** p, v9) if v9 else 0.0)
+        ddv9 = -c * dv9 - (u9 ** q if u9 > 0.0 else math.copysign(abs(u9) ** q, u9) if u9 else 0.0)
+
+        u10 = u + h * (0.0 + _A10_1 * du1 + _A10_4 * du4 + _A10_5 * du5 + _A10_6 * du6
+            + _A10_7 * du7 + _A10_8 * du8 + _A10_9 * du9)
+        v10 = v + h * (0.0 + _A10_1 * dv1 + _A10_4 * dv4 + _A10_5 * dv5 + _A10_6 * dv6
+            + _A10_7 * dv7 + _A10_8 * dv8 + _A10_9 * dv9)
+        du10 = du + h * (0.0 + _A10_1 * ddu1 + _A10_4 * ddu4 + _A10_5 * ddu5 + _A10_6 * ddu6
+            + _A10_7 * ddu7 + _A10_8 * ddu8 + _A10_9 * ddu9)
+        dv10 = dv + h * (0.0 + _A10_1 * ddv1 + _A10_4 * ddv4 + _A10_5 * ddv5 + _A10_6 * ddv6
+            + _A10_7 * ddv7 + _A10_8 * ddv8 + _A10_9 * ddv9)
+        c = dm1 / (r + _C10 * h)
+        ddu10 = -c * du10 - (v10 ** p if v10 > 0.0 else math.copysign(abs(v10) ** p, v10) if v10 else 0.0)
+        ddv10 = -c * dv10 - (u10 ** q if u10 > 0.0 else math.copysign(abs(u10) ** q, u10) if u10 else 0.0)
+
+        u11 = u + h * (0.0 + _A11_1 * du1 + _A11_4 * du4 + _A11_5 * du5 + _A11_6 * du6
+            + _A11_7 * du7 + _A11_8 * du8 + _A11_9 * du9 + _A11_10 * du10)
+        v11 = v + h * (0.0 + _A11_1 * dv1 + _A11_4 * dv4 + _A11_5 * dv5 + _A11_6 * dv6
+            + _A11_7 * dv7 + _A11_8 * dv8 + _A11_9 * dv9 + _A11_10 * dv10)
+        du11 = du + h * (0.0 + _A11_1 * ddu1 + _A11_4 * ddu4 + _A11_5 * ddu5 + _A11_6 * ddu6
+            + _A11_7 * ddu7 + _A11_8 * ddu8 + _A11_9 * ddu9 + _A11_10 * ddu10)
+        dv11 = dv + h * (0.0 + _A11_1 * ddv1 + _A11_4 * ddv4 + _A11_5 * ddv5 + _A11_6 * ddv6
+            + _A11_7 * ddv7 + _A11_8 * ddv8 + _A11_9 * ddv9 + _A11_10 * ddv10)
+        c = dm1 / (r + _C11 * h)
+        ddu11 = -c * du11 - (v11 ** p if v11 > 0.0 else math.copysign(abs(v11) ** p, v11) if v11 else 0.0)
+        ddv11 = -c * dv11 - (u11 ** q if u11 > 0.0 else math.copysign(abs(u11) ** q, u11) if u11 else 0.0)
+
+        u12 = u + h * (0.0 + _A12_1 * du1 + _A12_4 * du4 + _A12_5 * du5 + _A12_6 * du6
+            + _A12_7 * du7 + _A12_8 * du8 + _A12_9 * du9 + _A12_10 * du10 + _A12_11 * du11)
+        v12 = v + h * (0.0 + _A12_1 * dv1 + _A12_4 * dv4 + _A12_5 * dv5 + _A12_6 * dv6
+            + _A12_7 * dv7 + _A12_8 * dv8 + _A12_9 * dv9 + _A12_10 * dv10 + _A12_11 * dv11)
+        du12 = du + h * (0.0 + _A12_1 * ddu1 + _A12_4 * ddu4 + _A12_5 * ddu5 + _A12_6 * ddu6
+            + _A12_7 * ddu7 + _A12_8 * ddu8 + _A12_9 * ddu9 + _A12_10 * ddu10 + _A12_11 * ddu11)
+        dv12 = dv + h * (0.0 + _A12_1 * ddv1 + _A12_4 * ddv4 + _A12_5 * ddv5 + _A12_6 * ddv6
+            + _A12_7 * ddv7 + _A12_8 * ddv8 + _A12_9 * ddv9 + _A12_10 * ddv10 + _A12_11 * ddv11)
+        c = dm1 / (r + _C12 * h)
+        ddu12 = -c * du12 - (v12 ** p if v12 > 0.0 else math.copysign(abs(v12) ** p, v12) if v12 else 0.0)
+        ddv12 = -c * dv12 - (u12 ** q if u12 > 0.0 else math.copysign(abs(u12) ** q, u12) if u12 else 0.0)
+
+        u13 = u + h * (0.0 + _B1 * du1 + _B6 * du6 + _B7 * du7 + _B8 * du8 + _B9 * du9 + _B10 * du10
+            + _B11 * du11 + _B12 * du12)
+        v13 = v + h * (0.0 + _B1 * dv1 + _B6 * dv6 + _B7 * dv7 + _B8 * dv8 + _B9 * dv9 + _B10 * dv10
+            + _B11 * dv11 + _B12 * dv12)
+        du13 = du + h * (0.0 + _B1 * ddu1 + _B6 * ddu6 + _B7 * ddu7 + _B8 * ddu8 + _B9 * ddu9
+            + _B10 * ddu10 + _B11 * ddu11 + _B12 * ddu12)
+        dv13 = dv + h * (0.0 + _B1 * ddv1 + _B6 * ddv6 + _B7 * ddv7 + _B8 * ddv8 + _B9 * ddv9
+            + _B10 * ddv10 + _B11 * ddv11 + _B12 * ddv12)
+        e5u = (0.0 + _E5_1 * du1 + _E5_6 * du6 + _E5_7 * du7 + _E5_8 * du8 + _E5_9 * du9
+            + _E5_10 * du10 + _E5_11 * du11 + _E5_12 * du12)
+        e3u = (0.0 + _E3_1 * du1 + _E3_6 * du6 + _E3_7 * du7 + _E3_8 * du8 + _E3_9 * du9
+            + _E3_10 * du10 + _E3_11 * du11 + _E3_12 * du12)
+        e5v = (0.0 + _E5_1 * dv1 + _E5_6 * dv6 + _E5_7 * dv7 + _E5_8 * dv8 + _E5_9 * dv9
+            + _E5_10 * dv10 + _E5_11 * dv11 + _E5_12 * dv12)
+        e3v = (0.0 + _E3_1 * dv1 + _E3_6 * dv6 + _E3_7 * dv7 + _E3_8 * dv8 + _E3_9 * dv9
+            + _E3_10 * dv10 + _E3_11 * dv11 + _E3_12 * dv12)
+        e5du = (0.0 + _E5_1 * ddu1 + _E5_6 * ddu6 + _E5_7 * ddu7 + _E5_8 * ddu8 + _E5_9 * ddu9
+            + _E5_10 * ddu10 + _E5_11 * ddu11 + _E5_12 * ddu12)
+        e3du = (0.0 + _E3_1 * ddu1 + _E3_6 * ddu6 + _E3_7 * ddu7 + _E3_8 * ddu8 + _E3_9 * ddu9
+            + _E3_10 * ddu10 + _E3_11 * ddu11 + _E3_12 * ddu12)
+        e5dv = (0.0 + _E5_1 * ddv1 + _E5_6 * ddv6 + _E5_7 * ddv7 + _E5_8 * ddv8 + _E5_9 * ddv9
+            + _E5_10 * ddv10 + _E5_11 * ddv11 + _E5_12 * ddv12)
+        e3dv = (0.0 + _E3_1 * ddv1 + _E3_6 * ddv6 + _E3_7 * ddv7 + _E3_8 * ddv8 + _E3_9 * ddv9
+            + _E3_10 * ddv10 + _E3_11 * ddv11 + _E3_12 * ddv12)
+
+        su = _ATOL_FLOOR + rel_tol * (
+            (u13 if u13 > u else u) if u > 0.0 and u13 > 0.0 else max(abs(u), abs(u13))
         )
-        ev = h * (
-            0.0 + _E1 * dv1 + _E2 * dv2 + _E3 * dv3 + _E4 * dv4 + _E5 * dv5 + _E6 * dv6 + _E7 * dv7
+        sv = _ATOL_FLOOR + rel_tol * (
+            (v13 if v13 > v else v) if v > 0.0 and v13 > 0.0 else max(abs(v), abs(v13))
         )
-        edu = h * (
-            0.0 + _E1 * ddu1 + _E2 * ddu2 + _E3 * ddu3 + _E4 * ddu4 + _E5 * ddu5 + _E6 * ddu6
-            + _E7 * ddu7
+        sdu = _ATOL_FLOOR + rel_tol * (
+            (-du13 if du13 < du else -du) if du < 0.0 and du13 < 0.0 else max(abs(du), abs(du13))
         )
-        edv = h * (
-            0.0 + _E1 * ddv1 + _E2 * ddv2 + _E3 * ddv3 + _E4 * ddv4 + _E5 * ddv5 + _E6 * ddv6
-            + _E7 * ddv7
+        sdv = _ATOL_FLOOR + rel_tol * (
+            (-dv13 if dv13 < dv else -dv) if dv < 0.0 and dv13 < 0.0 else max(abs(dv), abs(dv13))
         )
-        su = (u7 if u7 > u else u) if u > 0.0 and u7 > 0.0 else max(abs(u), abs(u7))
-        sv = (v7 if v7 > v else v) if v > 0.0 and v7 > 0.0 else max(abs(v), abs(v7))
-        sdu = (-du7 if du7 < du else -du) if du < 0.0 and du7 < 0.0 else max(abs(du), abs(du7))
-        sdv = (-dv7 if dv7 < dv else -dv) if dv < 0.0 and dv7 < 0.0 else max(abs(dv), abs(dv7))
-        err_sq = (
-            0.0
-            + (eu / (_ATOL_FLOOR + rel_tol * su)) ** 2
-            + (ev / (_ATOL_FLOOR + rel_tol * sv)) ** 2
-            + (edu / (_ATOL_FLOOR + rel_tol * sdu)) ** 2
-            + (edv / (_ATOL_FLOOR + rel_tol * sdv)) ** 2
-        )
+        err5 = 0.0 + (e5u / su) ** 2 + (e5v / sv) ** 2 + (e5du / sdu) ** 2 + (e5dv / sdv) ** 2
+        err3 = 0.0 + (e3u / su) ** 2 + (e3v / sv) ** 2 + (e3du / sdu) ** 2 + (e3dv / sdv) ** 2
+        c = dm1 / (r + h)
+        ddu13 = -c * du13 - (v13 ** p if v13 > 0.0 else math.copysign(abs(v13) ** p, v13) if v13 else 0.0)
+        ddv13 = -c * dv13 - (u13 ** q if u13 > 0.0 else math.copysign(abs(u13) ** q, u13) if u13 else 0.0)
     except OverflowError:
         return None, None, math.inf
-    return (u7, v7, du7, dv7), (du7, dv7, ddu7, ddv7), math.sqrt(err_sq / 4.0)
+    deno = err5 + 0.01 * err3
+    if not deno < math.inf:
+        err = math.inf
+    elif deno > 0.0:
+        err = h * err5 / (2.0 * math.sqrt(deno))
+    else:
+        err = 0.0
+    return (u13, v13, du13, dv13), (du13, dv13, ddu13, ddv13), err
 
 
 def integrate(
@@ -544,8 +756,10 @@ def integrate(
     """Integrate the radial system from r_start = 1e-6 to r_max or an event.
 
     Starts from the regular series u = u0 - v0^p r^2/(2d), v = v0 - u0^q
-    r^2/(2d).  Error control is relative with a 1e-300 absolute floor, so
-    decaying components stay resolved over many decades.  Positivity and
+    r^2/(2d), which must be positive at r_start.  Error control is
+    relative with a 1e-300 absolute floor, so decaying components stay
+    resolved over many decades; it covers the step's end values and, while
+    u and v are positive, the dense output between them.  Positivity and
     blowup are monitored on the dense output of every accepted step; the
     run stops at the earliest event with the interpolated event point
     appended to the grid.
@@ -572,10 +786,15 @@ def integrate(
         k1 = _rhs(r, *y, p, q, dm1)
     except OverflowError:
         raise InvalidInputError(f"the series start overflows, u0={u0}, v0={v0}") from None
+    if not (y[0] > 0.0 and y[1] > 0.0):
+        raise InvalidInputError(
+            f"the series start is not positive: u(r_start)={y[0]}, v(r_start)={y[1]} "
+            f"for u0={u0}, v0={v0}"
+        )
     rows_r = [r]
     rows = [y]
     h = 0.1 * r
-    ddd0 = None
+    ddd0 = d45_0 = None
     status = RadialStatus.COMPLETED
     event_radius: Optional[float] = None
 
@@ -586,9 +805,9 @@ def integrate(
             event_radius = r
             break
 
-        y_new, k7, err = _dp54_step(r, h, y, k1, p, q, dm1, rel_tol)
+        y_new, k13, err = _dop853_step(r, h, y, k1, p, q, dm1, rel_tol)
         if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
+            h *= max(0.2, 0.9 * err**-0.125)
             continue
 
         # third derivatives at the step start are those of the previous end;
@@ -596,8 +815,20 @@ def integrate(
         # needs them, so an overflow there raises no earlier
         if ddd0 is None:
             ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
-        ddd1 = _third_derivs(r + h, *k7, y_new[0], y_new[1], p, q, dm1)
-        data = _step_data(h, y, k1, ddd0, y_new, k7, ddd1)
+        ddd1 = _third_derivs(r + h, *k13, y_new[0], y_new[1], p, q, dm1)
+        # the dense output bound, while u and v are positive: past a zero
+        # |w|^(p-3) is singular, and the step ends in an event anyway
+        d45_1 = None
+        if y[0] > 0.0 and y[1] > 0.0 and y_new[0] > 0.0 and y_new[1] > 0.0:
+            if d45_0 is None:
+                d45_0 = _dense_derivs(r, y, k1, ddd0, p, q, dm1)
+            d45_1 = _dense_derivs(r + h, y_new, k13, ddd1, p, q, dm1)
+            dense = _dense_error(h, rel_tol, (y, k1, ddd0, d45_0), (y_new, k13, ddd1, d45_1))
+            if dense > 1.0:
+                h *= max(0.2, 0.9 * dense**-0.125)
+                continue
+            err = dense if dense > err else err
+        data = _step_data(h, y, k1, ddd0, y_new, k13, ddd1)
         if not _hull_clear(data):
             event = _scan_events(r, h, data)
             if event is not None:
@@ -611,9 +842,10 @@ def integrate(
         rows_r.append(r)
         rows.append(y_new)
         y = y_new
-        k1 = k7
+        k1 = k13
         ddd0 = ddd1
-        factor = 5.0 if err == 0.0 else 0.9 * err**-0.2
+        d45_0 = d45_1
+        factor = 5.0 if err == 0.0 else 0.9 * err**-0.125
         h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # min(5, max(0.2, .))
 
     arr = np.array(rows, dtype=float)
