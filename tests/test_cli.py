@@ -200,9 +200,14 @@ def test_non_finite_verify_inputs_exit_2_without_a_warning(tail, capsys):
 
 
 def test_overflowing_trial_stages_end_the_shot_cleanly(capsys):
+    # u(r_start) < 0 at this v0: the series start is refused before any
+    # trial stage can overflow, with one line and no traceback
     rc = run(["shoot", "-p", "9", "-q", "2", "-d", "5", "--v0", "5e7", "--r-max", "1", "--json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "step_underflow"
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error: the series start is not positive")
+    assert captured.err.count("\n") == 1
 
 
 def test_leftover_arithmetic_error_exits_2(monkeypatch, capsys):

@@ -31,9 +31,10 @@ from lelab import (
     check_energy_growth,
     check_pohozaev,
     integrate,
+    radial,
     verify,
 )
-from lelab.radial import _basis, _bernstein
+from lelab.radial import _basis, _bernstein, _control_points
 from lelab.verify import (
     _GL_BASIS,
     _GL_NODES,
@@ -183,6 +184,33 @@ def test_dense_output_error_against_the_exact_interpolant(slow_decay_3313):
     radii = np.concatenate([sol.r[i] + tau * (sol.r[i + 1] - sol.r[i]) for i in steps])
     worst = _exact_errors(sol, radii)
     assert max(worst) <= EXACT_TOL, worst
+
+
+def test_dense_error_bounds_the_degree_9_correction():
+    # w is a random degree-9 polynomial on [r0, r0 + h], so its degree-9
+    # Hermite interpolant is w itself, and the estimate must bound the
+    # degree-7 interpolant's true error, on the table of w and on that of
+    # w' (degree 8), and exceed it by no more than max(|a|, |b|) / 256
+    # can: 4.8 times when a = -b.  The errors are of order 1e-3, far above
+    # the rounding of the float evaluation.
+    rng = random.Random(3)
+    tau = np.arange(1, 512) / 512.0
+    basis = _basis(tau)
+    for _ in range(200):
+        h = 10.0 ** rng.uniform(-3.0, 1.0)
+        w = np.polynomial.Polynomial([rng.uniform(-1.0, 1.0) / h**k for k in range(10)])
+        ends = [[float(w.deriv(k)(t * h)) for k in range(6)] for t in (0.0, 1.0)]
+        worst = 0.0
+        for first in (0, 1):  # the table of w, then that of w'
+            data = [ends[e][first + k] * h**k for e in (0, 1) for k in range(4)]
+            error = np.abs(_bernstein(_control_points(*data), basis) - w.deriv(first)(tau * h))
+            worst = max(worst, error.max() / max(abs(ends[0][first]), abs(ends[1][first])))
+        start, end = (
+            ((w0, w0, d1, d1), (d1, d1, d2, d2), (d3, d3), (d4, d4, d5, d5))
+            for w0, d1, d2, d3, d4, d5 in ends
+        )
+        estimate = radial._dense_error(h, 1.0, start, end)
+        assert worst <= estimate * (1.0 + 1e-9) and estimate <= 4.9 * worst, (worst, estimate)
 
 
 @pytest.mark.parametrize("halved", [False, True])

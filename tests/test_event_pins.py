@@ -7,6 +7,9 @@ or bisected that is meant to be behaviour-preserving must leave all of
 these bits alone.  Two longer runs are pinned on every row: a sha256 of
 all (r, u, v, u', v') as little-endian float64 covers the step kernel and
 step selection as well as the events.
+
+After an intended change, print the current pins with
+``PYTHONPATH=src python tests/test_event_pins.py`` and copy them in.
 """
 
 import hashlib
@@ -78,8 +81,20 @@ def _trajectory_sha256(sol):
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
+def _slow_decay_run():
+    return integrate(SystemParams(3, 3, 13), 1.0, 1000.0, 1e-11)
+
+
+def _ground_state_run():
+    return shoot_ground_state(SystemParams(5, 5, 3), (0.6, 1.7), r_max=150.0, rel_tol=1e-11)
+
+
+def _asymmetric_ground_state_run():
+    return shoot_ground_state(SystemParams(11, 3, 3), (0.8, 1.5), r_max=150.0, rel_tol=1e-10)
+
+
 def test_whole_trajectory_pin_integrate():
-    sol = integrate(SystemParams(3, 3, 13), 1.0, 1000.0, 1e-11)
+    sol = _slow_decay_run()
     assert sol.status is RadialStatus.COMPLETED
     assert len(sol.r) == 1366
     assert _trajectory_sha256(sol) == (
@@ -88,7 +103,7 @@ def test_whole_trajectory_pin_integrate():
 
 
 def test_whole_trajectory_pin_ground_state():
-    v0, sol = shoot_ground_state(SystemParams(5, 5, 3), (0.6, 1.7), r_max=150.0, rel_tol=1e-11)
+    v0, sol = _ground_state_run()
     assert v0.hex() == "0x1.ffffffffffbffp-1"
     assert sol.status is RadialStatus.COMPLETED
     assert len(sol.r) == 509
@@ -101,10 +116,25 @@ def test_whole_trajectory_pin_asymmetric_ground_state():
     # p != q: the bisection converges where the sign of the side functional
     # at r_max changes, which moves with r_max, so ROADMAP item 15 will
     # re-record this pin on purpose when it changes the side rule
-    v0, sol = shoot_ground_state(SystemParams(11, 3, 3), (0.8, 1.5), r_max=150.0, rel_tol=1e-10)
+    v0, sol = _asymmetric_ground_state_run()
     assert v0.hex() == "0x1.14a0b1cf1f266p+0"
     assert sol.status is RadialStatus.COMPLETED
     assert len(sol.r) == 351
     assert _trajectory_sha256(sol) == (
         "e23e0fc5e5b5be8ca43c4e46a1e9e0ce85f9ed5d52413e9275740ee3632dee0e"
     )
+
+
+if __name__ == "__main__":
+    for case in PINS:
+        triple, v0, r_max, rel_tol = case.values[:4]
+        sol = integrate(SystemParams(*triple), v0, r_max, rel_tol)
+        event = None if sol.event_radius is None else sol.event_radius.hex()
+        last = tuple(float(w[-1]).hex() for w in (sol.u, sol.v, sol.du, sol.dv))
+        print(f"{case.id}: {sol.status}, {event!r}, {len(sol.r)},\n    {last}")
+    for name, run in (("integrate", _slow_decay_run), ("ground_state", _ground_state_run),
+                      ("asymmetric_ground_state", _asymmetric_ground_state_run)):
+        result = run()
+        v0, sol = (None, result) if name == "integrate" else result
+        print(f"whole_trajectory_pin_{name}: {sol.status}, v0 {None if v0 is None else v0.hex()}, "
+              f"{len(sol.r)} rows, sha256 {_trajectory_sha256(sol)}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from lelab import (
     derive_constants,
     fit_decay,
     integrate,
+    radial,
     shoot_ground_state,
     singular_profile,
 )
@@ -137,13 +140,62 @@ def test_overflowing_series_start_rhs_is_invalid_input():
         integrate(SystemParams(9.911, 5.256, 3), 1.0000000014e8, 58.4, 3.1e-11)
 
 
-def test_overflowing_trial_stage_is_a_rejected_step():
-    # v0**9 r_start**2 is far above u0, so the first trial stages overflow
-    # |v|**p; each is rejected until the step falls below the floor
-    sol = integrate(SystemParams(9, 2, 5), 5e7, 1.0)
+def test_overflowing_trial_stage_is_a_rejected_step(monkeypatch):
+    # |v|**p overflows in the second stage: the kernel gives the step up
+    y, k = (1.0, 1e200, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
+    assert radial._dop853_step(1e-6, 1e-7, y, k, 9.0, 2.0, 4.0, 1e-10) == (None, None, math.inf)
+    # integrate rejects such a step and retries at a fifth of it, each time
+    # until the step falls below the floor
+    trial_h = []
+
+    def overflowing(r, h, *args):
+        trial_h.append(h)
+        return None, None, math.inf
+
+    monkeypatch.setattr(radial, "_dop853_step", overflowing)
+    sol = integrate(SystemParams(3, 3, 13), 1.0, 5.0)
     assert sol.status is RadialStatus.STEP_UNDERFLOW
     assert sol.event_radius == 1e-6
     assert len(sol.r) == 1
+    assert trial_h[0] == 0.1 * 1e-6 and len(trial_h) > 5
+    assert all(b == 0.2 * a for a, b in zip(trial_h, trial_h[1:]))
+
+
+def test_series_start_must_be_positive():
+    # v0**9 r_start**2 / (2 d) is about 2e56 at (9, 2, 5): u(r_start) < 0
+    with pytest.raises(InvalidInputError, match="series start is not positive"):
+        integrate(SystemParams(9, 2, 5), 5e7, 1.0)
+    # and v(r_start) < 0 when u0**q r_start**2 / (2 d) exceeds v0
+    with pytest.raises(InvalidInputError, match="series start is not positive"):
+        integrate(SystemParams(3, 3, 13), 1e-14, 1.0)
+
+
+def _bubble(d, r):
+    """The exact bubble u = v = (1 + r^2/(d(d-2)))^(-(d-2)/2) and its slope."""
+    k = d * (d - 2.0)
+    x = 1.0 + r * r / k
+    return x ** (-(d - 2.0) / 2.0), -(d - 2.0) / k * r * x ** (-d / 2.0)
+
+
+@pytest.mark.parametrize("d, p", [(3, 5.0), (4, 3.0), (5, 7.0 / 3.0), (6, 2.0)])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-11])
+def test_dense_output_contract_on_the_bubbles(d, p, rel_tol):
+    # evaluate's contract: between rows i and i+1 the dense u and u' stray
+    # from the exact solution by at most the larger error at the two rows
+    # plus rel_tol max(|w_i|, |w_i+1|)
+    sol = integrate(SystemParams(p, p, d), 1.0, 150.0, rel_tol)
+    assert sol.status is RadialStatus.COMPLETED
+    tau = np.arange(1, 16) / 16.0
+    radii = (sol.r[:-1, None] + tau * np.diff(sol.r)[:, None]).ravel()
+    u, _, du, _ = sol.evaluate(radii)
+    for rows, dense, exact_rows, exact in zip(
+        (sol.u, sol.du), (u, du), _bubble(d, sol.r), _bubble(d, radii)
+    ):
+        node = np.abs(rows - exact_rows)
+        inside = np.abs(dense - exact).reshape(-1, len(tau)).max(axis=1)
+        scale = np.maximum(np.abs(rows[:-1]), np.abs(rows[1:]))
+        excess = (inside - np.maximum(node[:-1], node[1:])) / (rel_tol * scale)
+        assert excess.max() <= 1.0, excess.max()
 
 
 def test_shoot_ground_state_553(ground_state_553):
