@@ -318,7 +318,7 @@ def test_hull_clears_every_step_of_a_slow_decay_run(monkeypatch):
 
     monkeypatch.setattr(radial, "_scan_events", counting_scan)
     sol = integrate(SystemParams(3, 3, 13), 1.0, 1000.0, 1e-11)
-    assert len(sol.r) == 1366
+    assert len(sol.r) == 349
     assert scans == []
 
 
