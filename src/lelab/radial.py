@@ -14,18 +14,18 @@ radial derivatives carry their own Hermite data so that they are
 reconstructed at derivative scale.  Its interpolation error is bounded on
 every step: the degree-9 Hermite correction, from the next derivative at
 both ends, is held to the tolerance of the step's error control, and a
-step it exceeds is shortened.  The polynomial is held by its 8 Bernstein control
-points, which come straight from the endpoint data; one function makes
-them for the hull test, the event scan and the tables, and one evaluator
-sums the control points against the Bernstein basis.  A solution builds
-its control-point tables once, on first use; dense evaluation at any set
-of radii is then a row lookup and one basis pass.  Events (a component
-hitting zero, blowup) are sampled on the dense output of each accepted
-step at nine points, all in one pass, and located by bisection between
-the samples.  Before that, a hull pre-test checks the control points of
-u and v: when all of them lie inside (m, 1e8 - m), with m a proved
-rounding margin of 1e-15 times the size of the data, no sample can hit,
-and the step is not sampled at all.
+step it exceeds is shortened.  The polynomial is held by its 8 Bernstein
+control points, which come straight from the endpoint data; one function
+makes them for the hull test, the event scan and the tables, and one
+evaluator sums the control points against the Bernstein basis.  A
+solution builds its control-point tables once, on first use; dense
+evaluation at any set of radii is then a row lookup and one basis pass.
+Events (a component hitting zero, blowup) are sampled on the dense output
+of each accepted step at nine points, all in one pass, and located by
+bisection between the samples.  Before that, a hull pre-test checks the
+control points of u and v: when all of them lie inside (m, 1e8 - m), with
+m a proved rounding margin of 1e-15 times the size of the data, no sample
+can hit, and the step is not sampled at all.
 The step kernel has a fast path, bit for bit, for the signs of shots.
 
 Shooting reduces the search for positive trajectories to bisection in the
@@ -149,6 +149,7 @@ _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _C12 = _DOP_C
 _B1, _, _, _, _, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = _DOP_B
 _E5_1, _, _, _, _, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = _DOP_E5
 _E3_1, _, _, _, _, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = _DOP_E3
+
 
 def _signed_pow(w: float, e: float) -> float:
     if w == 0.0:
@@ -331,12 +332,12 @@ class RadialSolution:
 
         Between rows i and i+1 each of u, v, u', v' is the degree-7 Hermite
         polynomial of the two rows' data.  While u and v are positive at
-        both rows, integrate held the estimate of its interpolation error,
-        the degree-9 Hermite correction, to at most 1e-300 +
-        rel_tol max(|w_i|, |w_i+1|) for each component w, so the dense
-        value strays from the solution by at most that plus the error the
-        integration carries at the rows.  The step into an event row is
-        not bounded this way.
+        both rows, integrate held the estimate of its interpolation error
+        (the degree-9 Hermite correction, exact when w is a polynomial of
+        degree 9) to at most 1e-300 + rel_tol max(|w_i|, |w_i+1|) for each
+        component w.  Between the rows the dense output thus adds about
+        that to the error that the integration carries at the rows.  The
+        step into an event row is not bounded this way.
         """
         tables = self._tables()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
