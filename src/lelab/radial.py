@@ -331,13 +331,18 @@ class RadialSolution:
         """Dense evaluation of (u, v, u', v') at radii inside the grid.
 
         Between rows i and i+1 each of u, v, u', v' is the degree-7 Hermite
-        polynomial of the two rows' data.  While u and v are positive at
-        both rows, integrate held the estimate of its interpolation error
-        (the degree-9 Hermite correction, exact when w is a polynomial of
-        degree 9) to at most 1e-300 + rel_tol max(|w_i|, |w_i+1|) for each
-        component w.  Between the rows the dense output thus adds about
-        that to the error that the integration carries at the rows.  The
-        step into an event row is not bounded this way.
+        polynomial of the two rows' data.  integrate held the estimate of
+        its interpolation error (the degree-9 Hermite correction, exact
+        when w is a polynomial of degree 9) to at most 1e-300 + rel_tol
+        max(|w_i|, |w_i+1|) for each component w.  Between the rows the
+        dense output thus adds about that to the error that the
+        integration carries at the rows.  On the step into a located zero
+        the bound is that of the trial step [r_i, r_i + h] that crossed
+        it, whose polynomial gives the event row and which the table
+        interpolates again on [r_i, r_event]; past a zero of v (u) with p
+        (q) below 3 the fifth derivative of u (v) is infinite at the zero,
+        and the estimate is a heuristic there.  A run that ends in
+        STEP_UNDERFLOW or at r_max is bounded on every step.
         """
         tables = self._tables()
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -371,28 +376,32 @@ def _rhs(r, u, v, du, dv, p, q, dm1):
 
 
 def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
+    """Third derivatives of u and v, then fv = p |v|^(p-1) and fu = q |u|^(q-1).
+
+    fv and fu, the slopes of sign(w)|w|^p and sign(u)|u|^q, go on to
+    _dense_derivs, so a step end raises each power once.
+    """
     c = dm1 / r
-    dddu = c / r * du - c * ddu - p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0)) * dv
-    dddv = c / r * dv - c * ddv - q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0)) * du
-    return dddu, dddv
+    fv = p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0))
+    fu = q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0))
+    return c / r * du - c * ddu - fv * dv, c / r * dv - c * ddv - fu * du, fv, fu
 
 
 def _dense_derivs(r, y, k, ddd, p, q, dm1):
-    """Fourth and fifth derivatives (d4u, d4v, d5u, d5v) where u, v > 0.
+    """Fourth and fifth derivatives (d4u, d4v, d5u, d5v) of the ODE at (r, y).
 
-    The ODE differentiated twice more than in _third_derivs; the dense
-    output bound takes them.
+    The ODE differentiated twice more than in _third_derivs, whose result
+    ddd is; the dense output bound takes them where u and v are nonzero.
     """
     u, v, du, dv = y
     ddu, ddv = k[2:]
-    dddu, dddv = ddd
+    dddu, dddv, fv, fu = ddd
     c = dm1 / r
     cr = c / r
-    # fv, fv2, fv3: the first three derivatives of v^p with respect to v
-    fv = p * v ** (p - 1.0)
+    # fv, fv2, fv3: the first three derivatives of sign(v)|v|^p with respect
+    # to v, on either side of zero
     fv2 = (p - 1.0) * fv / v
     fv3 = (p - 2.0) * fv2 / v
-    fu = q * u ** (q - 1.0)
     fu2 = (q - 1.0) * fu / u
     fu3 = (q - 2.0) * fu2 / u
     d4u = -2.0 * cr / r * du + 2.0 * cr * ddu - c * dddu - fv2 * dv * dv - fv * ddv
@@ -423,8 +432,8 @@ def _dense_error(h, rel_tol, start, end):
     (|m| + |n|) / 12288.  Returns the largest correction over the four
     tables, each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|).
     """
-    (u0, v0, du0, dv0), (_, _, ddu0, ddv0), (dddu0, dddv0), (d4u0, d4v0, d5u0, d5v0) = start
-    (u1, v1, du1, dv1), (_, _, ddu1, ddv1), (dddu1, dddv1), (d4u1, d4v1, d5u1, d5v1) = end
+    (u0, v0, du0, dv0), (_, _, ddu0, ddv0), (dddu0, dddv0, _, _), (d4u0, d4v0, d5u0, d5v0) = start
+    (u1, v1, du1, dv1), (_, _, ddu1, ddv1), (dddu1, dddv1, _, _), (d4u1, d4v1, d5u1, d5v1) = end
     h2 = h * h
     h3 = h2 * h
     h4 = h2 * h2
@@ -759,8 +768,8 @@ def integrate(
     Starts from the regular series u = u0 - v0^p r^2/(2d), v = v0 - u0^q
     r^2/(2d), which must be positive at r_start.  Error control is
     relative with a 1e-300 absolute floor, so decaying components stay
-    resolved over many decades; it covers the step's end values and, while
-    u and v are positive, the dense output between them.  Positivity and
+    resolved over many decades; it covers the step's end values and the
+    dense output between them (see RadialSolution.evaluate).  Positivity and
     blowup are monitored on the dense output of every accepted step; the
     run stops at the earliest event with the interpolated event point
     appended to the grid.
@@ -817,10 +826,11 @@ def integrate(
         if ddd0 is None:
             ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
         ddd1 = _third_derivs(r + h, *k13, y_new[0], y_new[1], p, q, dm1)
-        # the dense output bound, while u and v are positive: past a zero
-        # |w|^(p-3) is singular, and the step ends in an event anyway
+        # the dense output bound, wherever u and v are nonzero at the step
+        # end (the start is positive): also on a step past a zero, so that
+        # the event scan runs on a bounded polynomial
         d45_1 = None
-        if y[0] > 0.0 and y[1] > 0.0 and y_new[0] > 0.0 and y_new[1] > 0.0:
+        if y_new[0] != 0.0 and y_new[1] != 0.0:
             if d45_0 is None:
                 d45_0 = _dense_derivs(r, y, k1, ddd0, p, q, dm1)
             d45_1 = _dense_derivs(r + h, y_new, k13, ddd1, p, q, dm1)

@@ -206,7 +206,7 @@ def test_dense_error_bounds_the_degree_9_correction():
             error = np.abs(_bernstein(_control_points(*data), basis) - w.deriv(first)(tau * h))
             worst = max(worst, error.max() / max(abs(ends[0][first]), abs(ends[1][first])))
         start, end = (
-            ((w0, w0, d1, d1), (d1, d1, d2, d2), (d3, d3), (d4, d4, d5, d5))
+            ((w0, w0, d1, d1), (d1, d1, d2, d2), (d3, d3, 0.0, 0.0), (d4, d4, d5, d5))
             for w0, d1, d2, d3, d4, d5 in ends
         )
         estimate = radial._dense_error(h, 1.0, start, end)

@@ -252,9 +252,11 @@ def test_kernel_matches_reference_on_random_steps():
 
 def _reference_third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     c = dm1 / r
-    dddu = c / r * du - c * ddu - p * abs(v) ** (p - 1.0) * dv
-    dddv = c / r * dv - c * ddv - q * abs(u) ** (q - 1.0) * du
-    return dddu, dddv
+    fv = p * abs(v) ** (p - 1.0)
+    fu = q * abs(u) ** (q - 1.0)
+    dddu = c / r * du - c * ddu - fv * dv
+    dddv = c / r * dv - c * ddv - fu * du
+    return dddu, dddv, fv, fu
 
 
 def _third_derivs_outcome(f, args):
@@ -268,19 +270,32 @@ def _third_derivs_outcome(f, args):
 def test_third_derivs_match_reference_on_trajectory_steps(
     monkeypatch, triple, v0, r_max, rel_tol
 ):
-    calls = []
+    calls, shortened = [], []
+    dense_error = radial._dense_error
 
-    def checked(*args):  # checks each accepted step's end as integrate takes it
+    def checked(*args):  # checks each step end as integrate takes it
         calls.append(args)
         got = _third_derivs(*args)
         assert _bits(got) == _bits(_reference_third_derivs(*args)), args
         return got
 
+    def counted_dense_error(*args):
+        got = dense_error(*args)
+        shortened.append(got > 1.0)
+        return got
+
     monkeypatch.setattr(radial, "_third_derivs", checked)
+    monkeypatch.setattr(radial, "_dense_error", counted_dense_error)
     sol = integrate(SystemParams(*triple), v0, r_max, rel_tol)
-    # one call per accepted step and one for the start of the first, and
-    # one more for each trial step that the dense output bound shortened
-    assert len(calls) >= len(sol.r)
+    # one call for the start of the first step that passes the error test,
+    # then one for the end of each such step: the accepted rows, the step
+    # that ends in the event row, and each step that the dense output bound
+    # shortened.  The start's values are carried over from the previous
+    # end, never formed again.
+    if len(sol.r) == 1 and not shortened:
+        assert calls == []
+    else:
+        assert len(calls) == len(sol.r) + sum(shortened)
 
 
 def test_third_derivs_match_reference_on_random_draws():

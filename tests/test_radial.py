@@ -198,6 +198,37 @@ def test_dense_output_contract_on_the_bubbles(d, p, rel_tol):
         assert excess.max() <= 1.0, excess.max()
 
 
+@pytest.mark.parametrize(
+    "triple, v0, status",
+    [
+        ((3, 3, 3), 1.0, RadialStatus.V_HIT_ZERO),
+        ((7, 3.8, 3), 1.2, RadialStatus.U_HIT_ZERO),
+        # below q = 3 the fifth derivative of v is infinite at u = 0
+        ((7.0 / 3.0, 7.0 / 3.0, 5), 1.2, RadialStatus.U_HIT_ZERO),
+        ((2, 2, 6), 1.3, RadialStatus.U_HIT_ZERO),
+    ],
+)
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-11])
+def test_dense_output_contract_on_the_step_into_a_zero(triple, v0, status, rel_tol):
+    # the same contract on the last step, which ends on the located zero,
+    # against a run at rel_tol 1e-13 (up to the reference's own radius).
+    # Unbounded, the step of (7, 3.8, 3) at 1e-11 strayed by 1.25 rel_tol,
+    # those of (7/3, 7/3, 5) by 2.3 and 13.4, that of (2, 2, 6) at 1e-11
+    # by 1.5, all in v'
+    params = SystemParams(*triple)
+    sol = integrate(params, v0, 50.0, rel_tol)
+    ref = integrate(params, v0, 50.0, 1e-13)
+    assert sol.status is ref.status is status
+    r0, r1 = sol.r[-2], min(sol.r[-1], ref.r[-1])
+    radii = r0 + np.arange(1, 64) / 64.0 * (sol.r[-1] - r0)
+    radii = radii[radii < r1]
+    inside = np.abs(np.array(sol.evaluate(radii)) - ref.evaluate(radii)).max(axis=1)
+    node = np.abs(np.array(sol.evaluate([r0, r1])) - ref.evaluate([r0, r1])).max(axis=1)
+    rows = np.array([sol.u[-2:], sol.v[-2:], sol.du[-2:], sol.dv[-2:]])
+    excess = (inside - node) / (rel_tol * np.abs(rows).max(axis=1))
+    assert excess.max() <= 1.0, excess
+
+
 def test_shoot_ground_state_553(ground_state_553):
     v0, sol, _ = ground_state_553
     assert abs(v0 - 1.0) < 1e-10
