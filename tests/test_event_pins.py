@@ -48,9 +48,9 @@ PINS = [
         id="blowup",
     ),
     pytest.param(
-        (2, 2, 5), 1.0, 50.0, 1e-10, RadialStatus.V_HIT_ZERO, "0x1.3d82a6499ef43p+3", 80,
-        ("-0x1.f9e1b80000000p-47", "-0x1.f9e1b80000000p-47",
-         "-0x1.351f7a8ab0ba9p-7", "-0x1.351f7a8ab0ba9p-7"),
+        (2, 2, 5), 1.0, 50.0, 1e-10, RadialStatus.V_HIT_ZERO, "0x1.3d82a6499f2efp+3", 81,
+        ("-0x1.5b01994c53d10p-45", "-0x1.5b01994c53d10p-45",
+         "-0x1.351f7a891d6c2p-7", "-0x1.351f7a891d6c2p-7"),
         id="225-v-zero",
     ),
     pytest.param(
