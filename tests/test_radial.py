@@ -212,9 +212,8 @@ def test_dense_output_contract_on_the_bubbles(d, p, rel_tol):
 def test_dense_output_contract_on_the_step_into_a_zero(triple, v0, status, rel_tol):
     # the same contract on the last step, which ends on the located zero,
     # against a run at rel_tol 1e-13 (up to the reference's own radius).
-    # Unbounded, the step of (7, 3.8, 3) at 1e-11 strayed by 1.25 rel_tol,
-    # those of (7/3, 7/3, 5) by 2.3 and 13.4, that of (2, 2, 6) at 1e-11
-    # by 1.5, all in v'
+    # Left unbounded, that step strays in v' by 1.25 rel_tol for (7, 3.8, 3)
+    # at 1e-11, by 2.3 and 13.4 for (7/3, 7/3, 5), by 1.5 for (2, 2, 6) at 1e-11
     params = SystemParams(*triple)
     sol = integrate(params, v0, 50.0, rel_tol)
     ref = integrate(params, v0, 50.0, 1e-13)
