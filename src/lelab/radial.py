@@ -16,16 +16,15 @@ every step: the degree-9 Hermite correction, from the next derivative at
 both ends, is held to the tolerance of the step's error control, and a
 step it exceeds is shortened.  The polynomial is held by its 8 Bernstein
 control points, which come straight from the endpoint data; one function
-makes them for the hull test, the event scan and the tables, and one
+makes them for the hull test, the event search and the tables, and one
 evaluator sums the control points against the Bernstein basis.  A
 solution builds its control-point tables once, on first use; dense
 evaluation at any set of radii is then a row lookup and one basis pass.
-Events (a component hitting zero, blowup) are sampled on the dense output
-of each accepted step at nine points, all in one pass, and located by
-bisection between the samples.  Before that, a hull pre-test checks the
-control points of u and v: when all of them lie inside (m, 1e8 - m), with
-m a proved rounding margin of 1e-15 times the size of the data, no sample
-can hit, and the step is not sampled at all.
+Events (a component hitting zero, blowup) are found on the dense output of
+each accepted step by Bernstein subdivision: the first interval whose
+control points do not clear the level is split down to 1e-12 r.  Its
+level 0, the hull test that all control points of u and v lie in
+(0, 1e8), clears nearly every step, exactly.
 The step kernel has a fast path, bit for bit, for the signs of shots.
 
 Shooting reduces the search for positive trajectories to bisection in the
@@ -163,7 +162,7 @@ def _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1):
     The data are one component's value and its first three derivatives at
     both ends of a step, the k-th derivative times h^k.  The same
     expressions run on floats and on numpy arrays, so the hull test, the
-    event scan and the cached tables hold the same numbers for the same data.
+    event search and the cached tables hold the same numbers for the same data.
     """
     return (
         w0,
@@ -460,34 +459,10 @@ def _dense_error(h, rel_tol, start, end):
     return worst / 12288.0
 
 
-# Relative margin of the hull test.  Let D be one component's data on a
-# step as _step_data forms it, b its control points from _control_points
-# and u = 2^-53, g_n = n u / (1 - n u).  Each b_k sums at most four terms
-# with coefficients of size <= 1, so |b_k| <= (1 + g5) sum|D|.  The scan
-# samples fl(sum_k b_k B_k(tau)) from these same b at tau = j/8, where
-# _basis is exact (weights C(7,k) j^k (8-j)^(7-k) / 8^7, numerators below
-# 2^53), so the only rounding is that of the 8 products and 7 sums: with
-# every b_k > 0 the sample is within g8 S of S = sum_k b_k B_k(tau), a
-# convex combination, so min b <= S <= max b.  Let every b_k lie in
-# (m, fl(1e8 - m)), m = fl(_ATOL_FLOOR + _HULL_MARGIN fl(sum|D|)).
-#  - Zero: all products are >= 0, and a float sum of nonnegative terms is
-#    at least its largest term.  Some B_k(tau) >= 1/8, and b_k B_k > m/8
-#    >= 1e-301 rounds to a positive product: no sample reaches 0.
-#    Rounding cannot take it there; only underflow, which the floor
-#    excludes (with m = 0, control points of size 2^-1074 give products
-#    that round to 0).
-#  - Blowup: the sample is at most (1 + g8) max b.  If max b < 9.9e7 that
-#    is below 1e8.  Otherwise sum|D| >= 9.9e7 / (1 + g5), so m >= 9.89e-8,
-#    while a sample reaches 1e8 only if m <= 2^-27 + g8 1e8 < 9.63e-8
-#    (2^-27 is the rounding of 1e8 - m).
-# So m = 1e-15 sum|D| (plus the floor) makes the test sound.
-_HULL_MARGIN = 1e-15
-
-
 def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
     """Hermite data of u and of v on a step: value and h^k times the k-th
     derivative, k = 1..3, at each end (k holds u', v', u'', v'').  The hull
-    test and the event scan take the same data."""
+    test and the event search take the same data."""
     hh = h * h
     h3 = h**3
     return (
@@ -497,70 +472,97 @@ def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
 
 
 def _hull_clear(data):
-    """True when no dense sample of u or v on the step can reach 0 or blowup.
+    """True when all 8 control points of u and of v lie strictly between 0
+    and BLOWUP_THRESHOLD.
 
-    The Bernstein control points of each degree-7 Hermite polynomial on
-    [0, 1] bound it (its convex hull).  When all of them lie in
-    (m, BLOWUP_THRESHOLD - m), m the _HULL_MARGIN bound above,
-    _scan_events provably returns None on the same data, so the caller
-    may skip it.  A non-finite value makes m NaN or inf and gives False,
-    as does any step the margin cannot clear.
+    These are the comparisons of level 0 of the event search, written out
+    because they run on every accepted step.  A float average fl(0.5 (x +
+    y)) never leaves [min(x, y), max(x, y)], unless x + y overflows, and
+    then it is +-inf of the sign of x and y; so the control points of every
+    subinterval pass them too, and _scan_events returns None on the same
+    data.  A non-finite value gives False.
     """
     for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
-        m = _ATOL_FLOOR + _HULL_MARGIN * (
-            abs(w0) + abs(d0) + abs(dd0) + abs(t0) + abs(w1) + abs(d1) + abs(dd1) + abs(t1)
-        )
         b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1)
-        top = BLOWUP_THRESHOLD - m
-        if not (m < b0 < top and m < b1 < top and m < b2 < top and m < b3 < top
-                and m < b4 < top and m < b5 < top and m < b6 < top and m < b7 < top):
+        top = BLOWUP_THRESHOLD
+        if not (0.0 < b0 < top and 0.0 < b1 < top and 0.0 < b2 < top and 0.0 < b3 < top
+                and 0.0 < b4 < top and 0.0 < b5 < top and 0.0 < b6 < top and 0.0 < b7 < top):
             return False
     return True
 
 
-# dense samples of each accepted step scanned for events: tau = 0, 1/8, ..., 1
-_EVENT_TAU = np.arange(9) / 8.0
-_EVENT_BASIS = _basis(_EVENT_TAU)
-# event functions sign*(w - level), positive before their event, in order of
-# precedence at equal tau: v and u reaching zero, u and v reaching blowup
-_EVENT_STATUS = (RadialStatus.V_HIT_ZERO, RadialStatus.U_HIT_ZERO) + 2 * (RadialStatus.BLOWUP,)
-_EVENT_LEVEL = np.array([[0.0], [0.0], [BLOWUP_THRESHOLD], [BLOWUP_THRESHOLD]])
-_EVENT_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+def _halves(b):
+    """Control points of the two halves of [0, 1], by de Casteljau at 1/2."""
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    c0, c1, c2, c3 = 0.5 * (b0 + b1), 0.5 * (b1 + b2), 0.5 * (b2 + b3), 0.5 * (b3 + b4)
+    c4, c5, c6 = 0.5 * (b4 + b5), 0.5 * (b5 + b6), 0.5 * (b6 + b7)
+    d0, d1, d2, d3 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c3), 0.5 * (c3 + c4)
+    d4, d5 = 0.5 * (c4 + c5), 0.5 * (c5 + c6)
+    e0, e1, e2 = 0.5 * (d0 + d1), 0.5 * (d1 + d2), 0.5 * (d2 + d3)
+    e3, e4 = 0.5 * (d3 + d4), 0.5 * (d4 + d5)
+    f0, f1, f2, f3 = 0.5 * (e0 + e1), 0.5 * (e1 + e2), 0.5 * (e2 + e3), 0.5 * (e3 + e4)
+    g0, g1, g2 = 0.5 * (f0 + f1), 0.5 * (f1 + f2), 0.5 * (f2 + f3)
+    k0, k1 = 0.5 * (g0 + g1), 0.5 * (g1 + g2)
+    m = 0.5 * (k0 + k1)
+    return (b0, c0, d0, e0, f0, g0, k0, m), (m, k1, g2, f3, e4, d5, c6, b7)
+
+
+# splits in one search; h < 4 r0 in integrate, so a search reaches the final
+# width in at most 43, and it backtracks only where the polynomial nears 0
+_MAX_SPLITS = 200
+
+
+def _first_hit(g, r0, h):
+    """End tau of the first interval of [0, 1] on which the polynomial with
+    Bernstein control points g may be <= 0, or None.
+
+    Lane & Riesenfeld's search: an interval whose control points are all
+    positive holds a positive polynomial (its convex hull) and is dropped;
+    any other is split by _halves, left half first, down to (hi - lo) h <=
+    EVENT_RTOL (r0 + lo h).  A hit at tau = 0 thus ends the first interval
+    of that width.  At _MAX_SPLITS splits the interval in hand hits.
+    """
+    lo, hi, pending, splits = 0.0, 1.0, [], 0
+    while True:
+        b0, b1, b2, b3, b4, b5, b6, b7 = g
+        if (b0 > 0.0 and b1 > 0.0 and b2 > 0.0 and b3 > 0.0
+                and b4 > 0.0 and b5 > 0.0 and b6 > 0.0 and b7 > 0.0):
+            if not pending:
+                return None
+            lo, hi, g = pending.pop()
+        elif (hi - lo) * h <= EVENT_RTOL * (r0 + lo * h) or splits == _MAX_SPLITS:
+            return hi
+        else:
+            splits += 1
+            mid = 0.5 * (lo + hi)
+            g, right = _halves(g)
+            pending.append((mid, hi, right))
+            hi = mid
 
 
 def _scan_events(r0, h, data):
     """Earliest event on the accepted step [r0, r0 + h] with _step_data data, or None.
 
-    Candidates: u or v crossing zero from above, |u| or |v| crossing the
-    blowup threshold from below, all sampled at _EVENT_TAU in one pass.  A
+    The event functions, in order of precedence at equal tau: v and u
+    reaching zero, u and v reaching blowup, each searched by _first_hit on
+    its control points (1e8 - b for blowup: a float difference keeps the
+    sign of the exact one, so its level 0 is _hull_clear's).  A
     simultaneous zero of u and v (exact symmetric trajectories) is reported
     as V_HIT_ZERO.
     """
     bu, bv = (_control_points(*d) for d in data)
-    points = (bv, bu, bu, bv)  # one per event function
-    # the samples of all four at once; numpy rounds each as the scalar sum does
-    w = _bernstein(np.array(points).T[:, :, None], _EVENT_BASIS)
-    hits = _EVENT_SIGN * (w - _EVENT_LEVEL) <= 0.0
-    if not hits.any():
-        return None
     t_star = math.inf
-    for j in np.flatnonzero(hits.any(axis=1)):
-        k = int(hits[j].argmax())
-        # the step start was verified positive when the previous step was
-        # accepted; a nonpositive reconstruction there is roundoff, so keep
-        # the event strictly inside the step (lo = t: nothing to bisect)
-        lo, t = (1e-9, 1e-9) if k == 0 else (float(_EVENT_TAU[k - 1]), float(_EVENT_TAU[k]))
-        level, sign = _EVENT_LEVEL[j, 0], _EVENT_SIGN[j, 0]
-        for _ in range(200):
-            if (t - lo) * h <= EVENT_RTOL * (r0 + lo * h):
-                break
-            mid = 0.5 * (lo + t)
-            if sign * (_bernstein(points[j], _basis(mid)) - level) <= 0.0:
-                t = mid
-            else:
-                lo = mid
-        if t < t_star:
-            t_star, status = t, _EVENT_STATUS[j]
+    for status, g in (
+        (RadialStatus.V_HIT_ZERO, bv),
+        (RadialStatus.U_HIT_ZERO, bu),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - b for b in bu]),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - b for b in bv]),
+    ):
+        t = _first_hit(g, r0, h)
+        if t is not None and t < t_star:
+            t_star, event_status = t, status
+    if t_star == math.inf:
+        return None
     basis, slope_basis = _basis(t_star), _basis(t_star, 6)
     values = [_bernstein(b, basis) for b in (bu, bv)]
     slopes = []
@@ -569,7 +571,7 @@ def _scan_events(r0, h, data):
         # w - w0, keep the digits of the change over the step at any |w|
         c = _control_points(0.0, d0, dd0, t0, w1 - w0, d1, dd1, t1)
         slopes.append(7.0 * _bernstein([c[k + 1] - c[k] for k in range(7)], slope_basis) / h)
-    return r0 + t_star * h, status, (*values, *slopes)
+    return r0 + t_star * h, event_status, (*values, *slopes)
 
 
 def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
@@ -828,7 +830,7 @@ def integrate(
         ddd1 = _third_derivs(r + h, *k13, y_new[0], y_new[1], p, q, dm1)
         # the dense output bound, wherever u and v are nonzero at the step
         # end (the start is positive): also on a step past a zero, so that
-        # the event scan runs on a bounded polynomial
+        # the event search runs on a bounded polynomial
         d45_1 = None
         if y_new[0] != 0.0 and y_new[1] != 0.0:
             if d45_0 is None:

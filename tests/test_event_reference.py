@@ -1,13 +1,14 @@
-"""The one-pass event scan against a per-event-function scalar reference.
+"""The subdivision event search against the earlier sampling scan and an exact oracle.
 
-The reference keeps the earlier scan: each of the four event functions is
-walked over tau = 0, 1/8, ..., 1 through the scalar Bernstein evaluator and
-its first bracketing subinterval is bisected on its own; the earliest tau
-wins, ties going to v-zero, then u-zero, then blowup.  ``_scan_events``
-must find the same event radius and status on the steps of real
-trajectories and on random steps built to hold zeros, blowups, ties and
-hits at the step start, and its event row must agree with the exact
-rational interpolant of the step's data at the reference's tau.
+The earlier scan is kept here as a reference: each of the four event
+functions is sampled at tau = 0, 1/8, ..., 1 through the scalar Bernstein
+evaluator, its first bracketing sample interval is bisected, a hit at
+tau = 0 is put at tau = 1e-9, and the earliest tau wins, ties going to
+v-zero, then u-zero, then blowup.  On every step of real trajectories
+``_scan_events`` must give the reference's status, event radius and event
+row bit for bit.  On random steps the oracle is the exact polynomial of the
+step's computed control points, evaluated in rational arithmetic: the
+search may not step over a crossing, and what it reports must be one.
 """
 
 import math
@@ -25,6 +26,8 @@ from lelab.radial import (
     _basis,
     _bernstein,
     _control_points,
+    _first_hit,
+    _halves,
     _hull_clear,
     _rhs,
     _scan_events,
@@ -69,8 +72,8 @@ def _first_crossing(b, level, sign, r0, h):
     return None
 
 
-def _reference_scan(r0, h, data):
-    """(tau, status) of the earliest event, or None."""
+def _sampling_scan(r0, h, data):
+    """The earlier scan: (r_event, status, event row) or None."""
     bu, bv = (_control_points(*d) for d in data)
     found = [
         (_first_crossing(bv, 0.0, 1, r0, h), 0, RadialStatus.V_HIT_ZERO),
@@ -82,7 +85,13 @@ def _reference_scan(r0, h, data):
     if not found:
         return None
     t, _, status = min(found)
-    return t, status
+    basis, slope_basis = _basis(t), _basis(t, 6)
+    values = [_bernstein(b, basis) for b in (bu, bv)]
+    slopes = []
+    for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
+        c = _control_points(0.0, d0, dd0, t0, w1 - w0, d1, dd1, t1)
+        slopes.append(7.0 * _bernstein([c[k + 1] - c[k] for k in range(7)], slope_basis) / h)
+    return r0 + t * h, status, (*values, *slopes)
 
 
 # the event row against the exact interpolant P of the step's data D at tau:
@@ -90,26 +99,6 @@ def _reference_scan(r0, h, data):
 # of the data of w - w0 (D with w1 - w0 for the end values)
 VALUE_TOL = 1e-15
 SLOPE_TOL = 1e-14
-
-
-def _check_step(r0, h, y0, y1, p, q, dm1):
-    data = _data(r0, h, y0, y1, p, q, dm1)
-    got = _scan_events(r0, h, data)
-    want = _reference_scan(r0, h, data)
-    assert (got is None) == (want is None)
-    if got is None:
-        return None
-    r_event, status, values = got
-    t, want_status = want
-    assert type(r_event) is float
-    assert r_event.hex() == (r0 + t * h).hex() and status is want_status
-    for j, D in enumerate(data):
-        value, slope = values[j], values[j + 2]
-        points = hermite_control_points(D)
-        change = sum(map(abs, D)) - abs(D[0]) - abs(D[4]) + abs(D[4] - D[0])
-        assert abs(Fraction(value) - bernstein_value(points, t)) <= VALUE_TOL * sum(map(abs, D))
-        assert abs(Fraction(slope) * Fraction(h) - bernstein_value(points, t, 1)) <= SLOPE_TOL * change
-    return got
 
 
 @pytest.mark.parametrize("triple, v0, r_max", [
@@ -123,16 +112,48 @@ def test_scan_matches_reference_on_trajectory_steps(triple, v0, r_max):
     sol = integrate(params, v0, r_max, rel_tol=1e-8)
     rows = list(zip(sol.r.tolist(), sol.u.tolist(), sol.v.tolist(),
                     sol.du.tolist(), sol.dv.tolist()))
+    events = 0
     # every accepted step; the last one, into the event row, holds the event
     for (r0, *y0), (r1, *y1) in zip(rows[:-1], rows[1:]):
-        _check_step(r0, r1 - r0, tuple(y0), tuple(y1), p, q, dm1)
+        h = r1 - r0
+        data = _data(r0, h, tuple(y0), tuple(y1), p, q, dm1)
+        got, want = _scan_events(r0, h, data), _sampling_scan(r0, h, data)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        events += 1
+        (r_event, status, row), (want_r, want_status, want_row) = got, want
+        assert type(r_event) is float
+        assert r_event.hex() == want_r.hex() and status is want_status
+        assert [x.hex() for x in row] == [x.hex() for x in want_row]
+        t = (want_r - r0) / h
+        for j, D in enumerate(data):
+            value, slope = row[j], row[j + 2]
+            points = hermite_control_points(D)
+            change = sum(map(abs, D)) - abs(D[0]) - abs(D[4]) + abs(D[4] - D[0])
+            assert abs(Fraction(value) - bernstein_value(points, t)) <= VALUE_TOL * sum(map(abs, D))
+            assert abs(Fraction(slope) * Fraction(h) - bernstein_value(points, t, 1)) <= SLOPE_TOL * change
+    assert events == (sol.event_radius is not None)
 
 
-def test_scan_matches_reference_on_random_steps():
-    rng = random.Random(2024)
-    statuses = set()
+def _event_functions(data):
+    """(status, control points searched, exact control points) per event
+    function, in order of precedence: v and u reaching zero, u and v
+    reaching blowup.  The exact points are those of the computed control
+    points b, or of 1e8 - b, positive before the event."""
+    bu, bv = (_control_points(*d) for d in data)
+    level = Fraction(BLOWUP_THRESHOLD)
+    return [
+        (RadialStatus.V_HIT_ZERO, bv, [Fraction(x) for x in bv]),
+        (RadialStatus.U_HIT_ZERO, bu, [Fraction(x) for x in bu]),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bu], [level - Fraction(x) for x in bu]),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bv], [level - Fraction(x) for x in bv]),
+    ]
+
+
+def _random_event_steps(rng, n):
     levels = (0.0, BLOWUP_THRESHOLD)
-    for _ in range(3000):
+    for _ in range(n):
         p, q = rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0)
         dm1 = rng.choice((2.0, 4.0, 12.0))
         r0 = 10.0 ** rng.uniform(-6.0, 2.0)
@@ -145,10 +166,175 @@ def test_scan_matches_reference_on_random_steps():
         if rng.random() < 0.2:  # exact symmetry: simultaneous events of u and v
             y0[1], y1[1] = y0[0], y1[0]
         slopes = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-2, 2) for _ in range(4)]
-        event = _check_step(r0, h, (*y0, *slopes[:2]), (*y1, *slopes[2:]), p, q, dm1)
-        if event is not None:
-            statuses.add(event[1])
+        yield r0, h, (*y0, *slopes[:2]), (*y1, *slopes[2:]), p, q, dm1
+
+
+def test_scan_matches_reference_on_random_steps():
+    # The oracle P is exact, and so is the test at both levels: near 1e8 the
+    # search runs on 1e8 - b, which a float difference gives exactly there
+    # (Sterbenz), so no ulp(1e8) margin is needed.  With w the widest final
+    # interval, a search that reports tau must have P > 0 at every grid point
+    # up to tau - w and at tau - w, and P <= 0 at tau - w, tau or tau + w; a
+    # search that reports nothing must have P > 0 on the grid.
+    grid = [Fraction(k, 16) for k in range(17)]
+    statuses = set()
+    for step in _random_event_steps(random.Random(2024), 1000):
+        r0, h = step[0], step[1]
+        data = _data(*step)
+        w = EVENT_RTOL * (r0 + h) / h
+        first = None
+        for status, g, exact in _event_functions(data):
+            P = lambda tau: bernstein_value(exact, tau)
+            t = _first_hit(g, r0, h)
+            if t is None:
+                assert all(P(x) > 0 for x in grid)
+                continue
+            before = [x for x in grid if x < t - w] + ([Fraction(t - w)] if t > w else [])
+            assert all(P(x) > 0 for x in before)
+            assert min(P(Fraction(x)) for x in (max(0.0, t - w), t, min(1.0, t + w))) <= 0
+            if first is None or t < first[0]:
+                first = t, status
+        got = _scan_events(r0, h, data)
+        if first is None:
+            assert got is None
+        else:
+            assert got[:2] == (r0 + first[0] * h, first[1])
+            statuses.add(first[1])
     assert statuses == {RadialStatus.V_HIT_ZERO, RadialStatus.U_HIT_ZERO, RadialStatus.BLOWUP}
+
+
+def _quadratic_step(t1, t2):
+    """Hermite data of u = (tau - t1)(tau - t2) on [0, 1], and of v = 1."""
+    u = (t1 * t2, -(t1 + t2), 2.0, 0.0, (1.0 - t1) * (1.0 - t2), 2.0 - t1 - t2, 2.0, 0.0)
+    return u, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def test_search_finds_a_double_crossing_inside_one_eighth():
+    # u dips below 0 between tau = 0.26 and 0.36 and is positive at every
+    # sample tau = j/8, so the earlier scan steps over both crossings
+    r0, h = 1.0, 0.5
+    data = _quadratic_step(0.26, 0.36)
+    assert all(_bernstein(_control_points(*data[0]), _basis(j / 8.0)) > 0.0 for j in range(9))
+    assert _sampling_scan(r0, h, data) is None
+    r_event, status, row = _scan_events(r0, h, data)
+    assert status is RadialStatus.U_HIT_ZERO
+    t = (r_event - r0) / h
+    assert abs(t - 0.26) <= 2.0 * EVENT_RTOL * (r0 + h) / h
+    assert abs(row[0]) <= 1e-12 and abs(row[1] - 1.0) <= 1e-15
+
+
+def test_event_at_the_step_start_ends_the_first_final_interval():
+    # whatever the level, an event that holds at tau = 0 is found at the end
+    # of the first interval [0, 2^-n] that meets the width rule
+    for r0, h in ((1e-6, 1e-7), (1.0, 0.5), (3.0, 11.0)):
+        n = 0
+        while 2.0**-n * h > EVENT_RTOL * r0:
+            n += 1
+        expected = r0 + 2.0**-n * h
+        positive = (1.0, -0.5, 0.0, 0.0, 0.5, -0.5, 0.0, 0.0)
+        for u, status in (
+            ((0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0), RadialStatus.U_HIT_ZERO),
+            ((-1e-300, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0), RadialStatus.U_HIT_ZERO),
+            ((1.01e8, -1.0, 0.0, 0.0, 1.0, -1e8, 0.0, 0.0), RadialStatus.BLOWUP),
+            ((BLOWUP_THRESHOLD, 1.0, 0.0, 0.0, 2e8, 1.0, 0.0, 0.0), RadialStatus.BLOWUP),
+        ):
+            r_event, got, _ = _scan_events(r0, h, (u, positive))
+            assert (r_event, got) == (expected, status)
+        # v takes precedence over u at the same tau
+        start_hit = (0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+        assert _scan_events(r0, h, (start_hit, start_hit))[1] is RadialStatus.V_HIT_ZERO
+
+
+def _exact_halves(b):
+    rows = [[Fraction(x) for x in b]]
+    while len(rows[-1]) > 1:
+        rows.append([(x + y) / 2 for x, y in zip(rows[-1], rows[-1][1:])])
+    return [row[0] for row in rows], [row[-1] for row in reversed(rows)]
+
+
+def test_halves_are_de_casteljau_at_one_half():
+    # integers times 2^-10 below 2^30 average exactly over seven levels, so
+    # the written-out split must give the exact subdivision bit for bit
+    rng = random.Random(7)
+    for _ in range(300):
+        b = [rng.randint(-2**20, 2**20) * 2.0**-10 for _ in range(8)]
+        left, right = _halves(b)
+        assert [Fraction(x) for x in left + right] == sum(_exact_halves(b), [])
+
+
+def _random_points(rng):
+    """8 control points of mixed signs and sizes, subnormals included."""
+    def point():
+        kind = rng.random()
+        if kind < 0.3:
+            return rng.randint(-2**20, 2**20) * math.ulp(0.0)
+        if kind < 0.6:
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+        return rng.uniform(-1.0, 1.0)
+    return [point() for _ in range(8)]
+
+
+def test_halves_stay_inside_the_parent_range():
+    # the lemma behind the exact hull test: fl(0.5 (x + y)) never leaves
+    # [min(x, y), max(x, y)], so no level of a split leaves [min b, max b]
+    rng = random.Random(8)
+    for _ in range(400):
+        b = _random_points(rng)
+        for _ in range(30):
+            halves = _halves(b)
+            for half in halves:
+                assert all(min(b) <= x <= max(b) for x in half)
+            b = halves[rng.randrange(2)]
+    for _ in range(50000):
+        x, y = _random_points(rng)[:2]
+        assert min(x, y) <= 0.5 * (x + y) <= max(x, y)
+
+
+def test_zero_margin_is_caught():
+    # the hull test has no margin: control points of size 2^-1074, whose
+    # Bernstein products underflow to 0 in a sampled scan, clear it, and
+    # the search finds nothing on them, because every split of positive
+    # subnormals stays positive at every depth
+    tiny = math.ulp(0.0)
+    step = [(1.0, 0.1, (tiny, tiny, 0.0, 0.0), (tiny, tiny, 0.0, 0.0), 3.0, 3.0, 2.0)]
+    assert _hull_tally(step) == (1, [])
+    rng = random.Random(9)
+    for _ in range(200):
+        level = [[rng.randint(1, 64) * tiny for _ in range(8)]]
+        for _ in range(8):  # the whole tree down to depth 8
+            level = [half for b in level for half in _halves(b)]
+            assert all(x > 0.0 for b in level for x in b)
+        b = level[0]
+        for _ in range(60):  # and one path down to depth 68
+            b = _halves(b)[rng.randrange(2)]
+            assert all(x > 0.0 for x in b)
+        assert _first_hit(b, 1.0, 0.1) is None
+
+
+def test_search_work_is_bounded(monkeypatch):
+    # a touch of the level costs the most splits; every search stays far
+    # below _MAX_SPLITS, and at the cap the interval in hand counts as a hit
+    splits = []
+
+    def counting_halves(b):
+        splits[-1] += 1
+        return _halves(b)
+
+    monkeypatch.setattr(radial, "_halves", counting_halves)
+    for t1 in (0.3, 1.0 / 3.0, 0.7):
+        for eps in (0.0, 1e-16, -1e-14, -1e-16):
+            u = list(_quadratic_step(t1, t1)[0])
+            u[0] += eps
+            u[4] += eps
+            splits.append(0)
+            _first_hit(_control_points(*u), 1.0, 0.5)
+    for step in _random_event_steps(random.Random(4), 300):
+        for _, g, _ in _event_functions(_data(*step)):
+            splits.append(0)
+            _first_hit(g, step[0], step[1])
+    assert 40 <= max(splits) <= 60 < radial._MAX_SPLITS
+    monkeypatch.setattr(radial, "_MAX_SPLITS", 3)
+    assert _first_hit(_control_points(*_quadratic_step(0.26, 0.36)[0]), 1.0, 0.5) == 0.375
 
 
 # --- hull pre-test: whenever _hull_clear says a step is clear, the scan is empty
@@ -275,20 +461,6 @@ def test_hull_is_sound_near_zero_and_blowup():
     assert cleared >= 100
 
 
-def test_zero_margin_is_caught(monkeypatch):
-    # the hull and the scan share their control points, so rounding alone
-    # cannot take a sample below the smallest one; underflow can: positive
-    # control points of size 2^-1074 give products that round to 0.  The
-    # margin's absolute floor keeps such a step for the scan.
-    tiny = math.ulp(0.0)
-    step = [(1.0, 0.1, (tiny, tiny, 0.0, 0.0), (tiny, tiny, 0.0, 0.0), 3.0, 3.0, 2.0)]
-    assert _hull_tally(step) == (0, [])
-    monkeypatch.setattr(radial, "_HULL_MARGIN", 0.0)
-    monkeypatch.setattr(radial, "_ATOL_FLOOR", 0.0)
-    cleared, unsound = _hull_tally(step)
-    assert cleared == 1 and unsound == step
-
-
 def test_non_finite_data_fall_through_to_the_scan():
     clear = lambda *step: _hull_clear(_step_data(*step))
     y0, y1 = (1.0, 1.0, -0.5, -0.5), (0.9, 0.9, -0.5, -0.5)
@@ -346,11 +518,9 @@ def test_hull_decision_matches_bernstein_coefficients():
         expected, ambiguous = True, False
         for data in comps:
             size = sum(map(abs, _scaled(h, *data)))
-            m = radial._HULL_MARGIN * size
-            top = BLOWUP_THRESHOLD - m
             for b in map(float, hermite_control_points(_scaled(h, *data))):
-                expected = expected and m < b < top
-                ambiguous = ambiguous or min(abs(b - m), abs(b - top)) < 1e-14 * size
+                expected = expected and 0.0 < b < BLOWUP_THRESHOLD
+                ambiguous = ambiguous or min(abs(b), abs(b - BLOWUP_THRESHOLD)) < 1e-14 * size
         if not ambiguous:
             assert _hull_clear(_step_data(*args)) == expected
             verdicts.append(expected)
