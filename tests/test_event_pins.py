@@ -39,12 +39,13 @@ PINS = [
          "-0x1.0f37cda95b61dp-8", "-0x1.365a0d881ce25p-1"),
         id="553-v-zero",
     ),
-    # v0 above the threshold: the scan sees the event at the step start
-    # and reports it just inside the first step
+    # v0 above the threshold: the event holds at the step start, so the
+    # search reports it at the end of the first interval of final width,
+    # tau = 2^-37 of the first step (h = 1e-7)
     pytest.param(
-        (1.5, 1.2, 3), 1.01e8, 1.0, 1e-10, RadialStatus.BLOWUP, "0x1.0c6f7a0bd223ap-20", 2,
-        ("0x1.a9622b37f30e8p-1", "0x1.8148d00000001p+26",
-         "-0x1.4a6a7401d3f6bp+18", "-0x1.65e9f80f66e48p-22"),
+        (1.5, 1.2, 3), 1.01e8, 1.0, 1e-10, RadialStatus.BLOWUP, "0x1.0c6f7a0b5faf9p-20", 2,
+        ("0x1.a9622b383ceb0p-1", "0x1.8148d00000000p+26",
+         "-0x1.4a6a740147155p+18", "-0x1.65e9f80f29941p-22"),
         id="blowup",
     ),
     pytest.param(
