@@ -68,9 +68,8 @@ class OutputKind(Enum):
 
 @dataclass(frozen=True)
 class CommandConfig:
-    """Validated invocation: subcommand, output form, destination."""
+    """Validated invocation: output form and destination."""
 
-    subcommand: str
     output: OutputKind
     out_path: Optional[str]
     force: bool
@@ -101,8 +100,19 @@ def _emit(text: str, config: CommandConfig) -> None:
         return
     if os.path.exists(config.out_path) and not config.force:
         raise _UsageError(f"refusing to overwrite existing file {config.out_path} (use --force)")
-    with open(config.out_path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(config.out_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {config.out_path}: {exc.strerror or exc}") from None
+
+
+def _radii(text: str) -> list[float]:
+    """The value of --radii: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated numbers, got {text!r}") from None
 
 
 def _report_row(rep: RegimeReport) -> str:
@@ -285,7 +295,7 @@ def _build_parser() -> _Parser:
 
     v = vsub.add_parser("singular", allow_abbrev=False)
     add_params(v)
-    v.add_argument("--radii", default="0.5,1,2")
+    v.add_argument("--radii", type=_radii, default="0.5,1,2")
     v.add_argument("--scale-a", type=float, default=1.0)
     v.add_argument("--scale-b", type=float, default=1.0)
     add_output(v, csv=False)
@@ -310,7 +320,7 @@ def _build_parser() -> _Parser:
     add_params(v)
     v.add_argument("--v0", type=float, required=True)
     v.add_argument("--s", type=float, required=True)
-    v.add_argument("--radii", default="10,31.62,100,316.2,1000")
+    v.add_argument("--radii", type=_radii, default="10,31.62,100,316.2,1000")
     v.add_argument("--rel-tol", type=float, default=1e-9)
     add_output(v, csv=False)
 
@@ -435,11 +445,10 @@ def _cmd_ground_state(args, config: CommandConfig) -> int:
 def _cmd_verify(args, config: CommandConfig) -> int:
     params = SystemParams(args.p, args.q, args.d)
     if args.check == "singular":
-        radii = [float(x) for x in args.radii.split(",")]
         c = derive_constants(params)
         rep = check_singular_residual(
             params,
-            radii,
+            args.radii,
             a_coef=c.a_coef * args.scale_a,
             b_coef=c.b_coef * args.scale_b,
         )
@@ -451,9 +460,8 @@ def _cmd_verify(args, config: CommandConfig) -> int:
         sol = integrate(params, args.v0, r_max, args.rel_tol)
         rep = check_pohozaev(sol, args.R, PohozaevWeights.from_a1(params, args.a1))
     elif args.check == "energy":
-        radii = [float(x) for x in args.radii.split(",")]
-        sol = integrate(params, args.v0, 1.05 * max(radii), args.rel_tol)
-        rep = check_energy_growth(sol, args.s, radii)
+        sol = integrate(params, args.v0, 1.05 * max(args.radii), args.rel_tol)
+        rep = check_energy_growth(sol, args.s, args.radii)
     elif args.check == "rayleigh":
         rep = rayleigh_stability_margin(params, args.cutoffs)
     else:
@@ -477,7 +485,6 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(list(argv))
         config = CommandConfig(
-            subcommand=args.subcommand,
             output=_output_kind(args),
             out_path=getattr(args, "out", None),
             force=getattr(args, "force", False),

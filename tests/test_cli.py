@@ -221,3 +221,27 @@ def test_leftover_arithmetic_error_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "lelab: error: OverflowError: (34, 'Numerical result out of range')\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "singular", "-p", "3", "-q", "3", "-d", "13", "--radii", "a,1"],
+    ["verify", "energy", "-p", "3", "-q", "3", "-d", "13", "--v0", "1", "--s", "3", "--radii", "1,,"],
+])
+def test_malformed_radii_exit_2_on_one_line(argv, capsys):
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error: argument --radii: need comma-separated numbers")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_out_path_exits_2_on_one_line(where, tmp_path, capsys):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    rc = run(["classify", "-p", "3", "-q", "3", "-d", "13", "--csv", "-o", str(path), "--force"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"lelab: error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
