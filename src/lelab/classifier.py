@@ -22,7 +22,6 @@ from .exponents import (
     _lockstep_largest_roots,
     _margin,
     _quartic_from_constants,
-    bisect_root,
     derive_constants,
     jl_margin,
     largest_root,
@@ -340,28 +339,16 @@ def grid_classify(
     return [_report(pr, c, x0[i], x0[n + i]) for i, (pr, c) in enumerate(triples)]
 
 
-def jl_threshold_dimension(p: float, q: float, rel_tol: float = 1e-12) -> float:
+def jl_threshold_dimension(p: float, q: float) -> float:
     """Dimension d* at which (p, q) crosses the Joseph-Lundgren curve.
 
-    Located by bisection of the margin in d, starting from the critical
-    dimension 2 + alpha + beta (where the margin is provably negative) and
-    expanding upward until the margin turns positive.  Cross-checkable
-    against 2 + 2*x0 for the Joseph-Lundgren quartic.
+    In x = (d - 2)/2 the margin is the Joseph-Lundgren quartic, so d* =
+    2 + 2 x0 with x0 its largest root.  The margin must be negative at the
+    critical dimension max(3, 2 + alpha + beta); InvalidInputError otherwise.
     """
     probe = SystemParams(p, q, 3.0)
     c = derive_constants(probe)
     d_lo = max(3.0, 2.0 + c.alpha + c.beta)
-    f = lambda d: jl_margin(SystemParams(p, q, d))
-    f_lo = f(d_lo)
-    if f_lo >= 0.0:
+    if jl_margin(SystemParams(p, q, d_lo)) >= 0.0:
         raise InvalidInputError(f"margin not negative at d={d_lo}; cannot bracket the threshold")
-    d_hi = d_lo + 1.0
-    f_hi = f(d_hi)
-    for _ in range(60):
-        if f_hi > 0.0:
-            break
-        d_hi = d_lo + 2.0 * (d_hi - d_lo)
-        f_hi = f(d_hi)
-    if f_hi <= 0.0:
-        raise InvalidInputError("failed to bracket the threshold dimension")
-    return bisect_root(f, d_lo, d_hi, f_lo, f_hi, rel=rel_tol)
+    return 2.0 + 2.0 * largest_root(probe, QuarticKind.JOSEPH_LUNDGREN)

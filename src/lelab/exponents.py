@@ -80,7 +80,7 @@ class DerivedConstants:
 
     a_coef and b_coef are the singular-solution amplitudes; they are NaN
     when lambda <= 0 or mu <= 0, i.e. when no positive singular solution
-    exists (alpha or beta not below d-2).
+    exists (alpha or beta not below d-2), and inf past the float range.
     """
 
     alpha: float
@@ -136,12 +136,16 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
     H = ((d - 2.0) ** 2 - gamma**2) / 4.0
     lam = alpha * (d - 2.0 - alpha)
     mu = beta * (d - 2.0 - beta)
+    a_coef = b_coef = math.nan
     if lam > 0.0 and mu > 0.0:
-        a_coef = (lam * mu**p) ** (1.0 / pq1)
-        b_coef = (mu * lam**q) ** (1.0 / pq1)
-    else:
-        a_coef = math.nan
-        b_coef = math.nan
+        try:  # near pq = 1 the power 1/(pq - 1) can overflow
+            a_coef = (lam * mu**p) ** (1.0 / pq1)
+        except OverflowError:
+            a_coef = math.inf
+        try:
+            b_coef = (mu * lam**q) ** (1.0 / pq1)
+        except OverflowError:
+            b_coef = math.inf
     return DerivedConstants(alpha, beta, gamma, H, lam, mu, a_coef, b_coef)
 
 

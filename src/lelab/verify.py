@@ -119,8 +119,8 @@ def check_singular_residual(
     radius sample.  Amplitude overrides allow perturbation tests.
     """
     c = derive_constants(params)
-    if not (c.lam > 0.0 and c.mu > 0.0):
-        raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution")
+    if not (math.isfinite(c.a_coef) and math.isfinite(c.b_coef)):  # lambda, mu > 0, no overflow
+        raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution with finite amplitudes")
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or not np.all(radii > 0.0):
         raise InvalidInputError("radii must be a nonempty positive sequence")
@@ -528,8 +528,8 @@ def spherical_mode_margins(
     if l_max < 0:
         raise InvalidInputError("l_max must be >= 0")
     c = derive_constants(params)
-    if not (c.lam > 0.0 and c.mu > 0.0):
-        raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution")
+    if not (math.isfinite(c.a_coef) and math.isfinite(c.b_coef)):  # lambda, mu > 0, no overflow
+        raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution with finite amplitudes")
     p, q, d = params.p, params.q, params.d
     weight = math.sqrt(p * q) * c.a_coef ** ((q - 1.0) / 2.0) * c.b_coef ** ((p - 1.0) / 2.0)
     margins = [l * (l + d - 2.0) + c.H - weight for l in range(l_max + 1)]

@@ -153,15 +153,16 @@ def test_grid_classify_contracts():
     assert d10 and not any(rep.thm_stable_radial_exists for rep in d10)
 
 
-def test_jl_threshold_dimension_matches_quartic():
+def test_jl_threshold_dimension_is_where_the_margin_changes_sign():
+    # d* comes from the quartic's root; the margin, evaluated in d on its
+    # own, must change sign across it
     rng = np.random.default_rng(43)
-    from lelab import QuarticKind, largest_root
-
-    for _ in range(40):
-        params = sample_supercritical(rng, q_hi=4.0, p_extra=3.0)
-        d_star = jl_threshold_dimension(params.p, params.q)
-        x0 = largest_root(params, QuarticKind.JOSEPH_LUNDGREN)
-        assert abs(d_star - (2.0 + 2.0 * x0)) < 1e-8 * max(1.0, d_star)
+    pairs = [(1.015625, 1.0)]  # pq near 1: the singular amplitudes overflow at d*
+    pairs += [(pr.p, pr.q) for pr in (sample_supercritical(rng, q_hi=4.0, p_extra=3.0) for _ in range(40))]
+    for p, q in pairs:
+        d_star = jl_threshold_dimension(p, q)
+        assert jl_margin(SystemParams(p, q, d_star * (1.0 - 1e-10))) < 0.0
+        assert jl_margin(SystemParams(p, q, d_star * (1.0 + 1e-10))) > 0.0
 
 
 def test_criticality_band():

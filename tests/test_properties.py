@@ -6,6 +6,7 @@ from lelab import (
     QuarticKind,
     SystemParams,
     classify,
+    jl_margin,
     jl_threshold_dimension,
     largest_root,
     quartic_eval,
@@ -30,9 +31,11 @@ def triples(draw):
 @PROPERTY
 @given(triples())
 def test_jl_root_gives_the_threshold_dimension(params):
-    x0_jl = largest_root(params, QuarticKind.JOSEPH_LUNDGREN)
-    d_star = jl_threshold_dimension(params.p, params.q)
-    assert abs(2.0 + 2.0 * x0_jl - d_star) <= 1e-9 * d_star
+    # jl_threshold_dimension is 2 + 2 x0_jl; the margin in d changes sign there
+    p, q = params.p, params.q
+    d_star = jl_threshold_dimension(p, q)
+    assert jl_margin(SystemParams(p, q, d_star * (1.0 - 1e-10))) < 0.0
+    assert jl_margin(SystemParams(p, q, d_star * (1.0 + 1e-10))) > 0.0
 
 
 @PROPERTY

@@ -44,6 +44,19 @@ def test_singular_residual_undefined():
         check_singular_residual(SystemParams(1.2, 1.1, 3), [1.0])
 
 
+def test_amplitudes_past_the_float_range_are_refused():
+    # near pq = 1 the power 1/(pq - 1) overflows: the amplitudes are inf,
+    # the margin stays finite, and the checks that need them refuse the triple
+    params = SystemParams(1.015625, 1.0, 600.0)
+    c = derive_constants(params)
+    assert c.lam > 0.0 and c.mu > 0.0 and c.a_coef == c.b_coef == math.inf
+    assert math.isfinite(jl_margin(params))
+    with pytest.raises(UndefinedSingularError):
+        check_singular_residual(params, [1.0])
+    with pytest.raises(UndefinedSingularError):
+        spherical_mode_margins(params, 4)
+
+
 def test_comparison_equality_and_strict_cases(ground_state_553, slow_decay_3313):
     rep = check_comparison(ground_state_553[1])
     assert rep.passed and rep.residual == 0.0
