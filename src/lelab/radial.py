@@ -472,15 +472,13 @@ def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
 
 
 def _hull_clear(data):
-    """True when all 8 control points of u and of v lie strictly between 0
-    and BLOWUP_THRESHOLD.
+    """True when all control points of u and v lie strictly inside (0, 1e8).
 
-    These are the comparisons of level 0 of the event search, written out
-    because they run on every accepted step.  A float average fl(0.5 (x +
-    y)) never leaves [min(x, y), max(x, y)], unless x + y overflows, and
-    then it is +-inf of the sign of x and y; so the control points of every
-    subinterval pass them too, and _scan_events returns None on the same
-    data.  A non-finite value gives False.
+    Level 0 of the event search, written out: it runs on every accepted
+    step.  A float average fl(0.5 (x + y)) never leaves [min(x, y), max(x,
+    y)] unless x + y overflows, and then it is +-inf of their sign; so every
+    subinterval's control points pass too, and _scan_events returns None on
+    the same data.  A non-finite value gives False.
     """
     for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
         b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1)
@@ -508,7 +506,7 @@ def _halves(b):
 
 
 # splits in one search; h < 4 r0 in integrate, so a search reaches the final
-# width in at most 43, and it backtracks only where the polynomial nears 0
+# width in at most 42, and it backtracks only where the polynomial nears 0
 _MAX_SPLITS = 200
 
 
@@ -543,12 +541,11 @@ def _first_hit(g, r0, h):
 def _scan_events(r0, h, data):
     """Earliest event on the accepted step [r0, r0 + h] with _step_data data, or None.
 
-    The event functions, in order of precedence at equal tau: v and u
-    reaching zero, u and v reaching blowup, each searched by _first_hit on
-    its control points (1e8 - b for blowup: a float difference keeps the
-    sign of the exact one, so its level 0 is _hull_clear's).  A
-    simultaneous zero of u and v (exact symmetric trajectories) is reported
-    as V_HIT_ZERO.
+    The event functions, by precedence at equal tau: v and u reaching zero,
+    u and v reaching blowup, each searched by _first_hit on its control
+    points b, or 1e8 - b, whose float sign is exact, so that level 0 is
+    _hull_clear.  A simultaneous zero of u and v (exact symmetric
+    trajectories) is reported as V_HIT_ZERO.
     """
     bu, bv = (_control_points(*d) for d in data)
     t_star = math.inf
