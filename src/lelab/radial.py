@@ -514,17 +514,18 @@ def _first_hit(g, r0, h):
     """End tau of the first interval of [0, 1] on which the polynomial with
     Bernstein control points g may be <= 0, or None.
 
-    Lane & Riesenfeld's search: an interval whose control points are all
-    positive holds a positive polynomial (its convex hull) and is dropped;
-    any other is split by _halves, left half first, down to (hi - lo) h <=
-    EVENT_RTOL (r0 + lo h).  A hit at tau = 0 thus ends the first interval
-    of that width.  At _MAX_SPLITS splits the interval in hand hits.
+    Lane & Riesenfeld's search: an interval with no control point <= 0
+    holds a positive polynomial (its convex hull) and is dropped; any other
+    is split by _halves, left half first, down to (hi - lo) h <= EVENT_RTOL
+    (r0 + lo h).  A hit at tau = 0 thus ends the first interval of that
+    width.  NaN is never <= 0: NaN data hold no event.  At _MAX_SPLITS
+    splits the interval in hand hits.
     """
     lo, hi, pending, splits = 0.0, 1.0, [], 0
     while True:
         b0, b1, b2, b3, b4, b5, b6, b7 = g
-        if (b0 > 0.0 and b1 > 0.0 and b2 > 0.0 and b3 > 0.0
-                and b4 > 0.0 and b5 > 0.0 and b6 > 0.0 and b7 > 0.0):
+        if not (b0 <= 0.0 or b1 <= 0.0 or b2 <= 0.0 or b3 <= 0.0
+                or b4 <= 0.0 or b5 <= 0.0 or b6 <= 0.0 or b7 <= 0.0):
             if not pending:
                 return None
             lo, hi, g = pending.pop()
@@ -543,8 +544,8 @@ def _scan_events(r0, h, data):
 
     The event functions, by precedence at equal tau: v and u reaching zero,
     u and v reaching blowup, each searched by _first_hit on its control
-    points b, or 1e8 - b, whose float sign is exact, so that level 0 is
-    _hull_clear.  A simultaneous zero of u and v (exact symmetric
+    points b, or 1e8 - b, whose float sign is exact: on finite data level 0
+    is _hull_clear.  A simultaneous zero of u and v (exact symmetric
     trajectories) is reported as V_HIT_ZERO.
     """
     bu, bv = (_control_points(*d) for d in data)

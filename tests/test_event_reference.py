@@ -478,6 +478,8 @@ def test_non_finite_data_fall_through_to_the_scan():
             w = list(k)
             w[j + 2] = bad
             assert not clear(0.1, y0, tuple(w), ddd, y1, k, ddd)
+            if bad != bad:  # and the search finds no event in NaN data
+                assert _scan_events(1.0, 0.1, _step_data(0.1, y0, tuple(w), ddd, y1, k, ddd)) is None
     assert not clear(math.inf, y0, k, ddd, y1, k, ddd)
 
 
