@@ -350,5 +350,5 @@ def jl_threshold_dimension(p: float, q: float) -> float:
     c = derive_constants(probe)
     d_lo = max(3.0, 2.0 + c.alpha + c.beta)
     if jl_margin(SystemParams(p, q, d_lo)) >= 0.0:
-        raise InvalidInputError(f"margin not negative at d={d_lo}; cannot bracket the threshold")
+        raise InvalidInputError(f"margin not negative at the critical dimension d={d_lo}")
     return 2.0 + 2.0 * largest_root(probe, QuarticKind.JOSEPH_LUNDGREN)

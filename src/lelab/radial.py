@@ -22,9 +22,9 @@ solution builds its control-point tables once, on first use; dense
 evaluation at any set of radii is then a row lookup and one basis pass.
 Events (a component hitting zero, blowup) are found on the dense output of
 each accepted step by Bernstein subdivision: the first interval whose
-control points do not clear the level is split down to 1e-12 r.  Its
-level 0, the hull test that all control points of u and v lie in
-(0, 1e8), clears nearly every step, exactly.
+control points do not clear the level is split down to 1e-12 r.  Level 0,
+all control points of u and v in (0, 1e8), is a hull test that clears
+nearly every step; splits never leave that range, so it needs no margin.
 The step kernel has a fast path, bit for bit, for the signs of shots.
 
 Shooting reduces the search for positive trajectories to bisection in the
@@ -480,9 +480,9 @@ def _hull_clear(data):
     subinterval's control points pass too, and _scan_events returns None on
     the same data.  A non-finite value gives False.
     """
+    top = BLOWUP_THRESHOLD
     for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
         b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1)
-        top = BLOWUP_THRESHOLD
         if not (0.0 < b0 < top and 0.0 < b1 < top and 0.0 < b2 < top and 0.0 < b3 < top
                 and 0.0 < b4 < top and 0.0 < b5 < top and 0.0 < b6 < top and 0.0 < b7 < top):
             return False
