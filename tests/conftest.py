@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -48,7 +48,10 @@ def bernstein_value(points, tau, order=0):
     for _ in range(order):
         b = [(len(b) - 1) * (y - x) for x, y in zip(b, b[1:])]
     n, (a, q) = len(b) - 1, Fraction(tau).as_integer_ratio()  # tau = a / q
-    return sum(bk * (comb(n, k) * a**k * (q - a) ** (n - k)) for k, bk in enumerate(b)) / q**n
+    den = lcm(*(x.denominator for x in b))  # summed as integers over one denominator
+    total = sum(x.numerator * (den // x.denominator) * comb(n, k) * a**k * (q - a) ** (n - k)
+                for k, x in enumerate(b))
+    return Fraction(total, den * q**n)
 
 
 def sample_supercritical(rng, d_max_extra=25.0, q_hi=6.0, p_extra=5.0):

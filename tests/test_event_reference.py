@@ -12,8 +12,10 @@ search may not step over a crossing, and what it reports must be one.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -101,6 +103,15 @@ VALUE_TOL = 1e-15
 SLOPE_TOL = 1e-14
 
 
+def _check_row(h, data, t, row):
+    for j, D in enumerate(data):
+        value, slope = row[j], row[j + 2]
+        points = hermite_control_points(D)
+        change = sum(map(abs, D)) - abs(D[0]) - abs(D[4]) + abs(D[4] - D[0])
+        assert abs(Fraction(value) - bernstein_value(points, t)) <= VALUE_TOL * sum(map(abs, D))
+        assert abs(Fraction(slope) * Fraction(h) - bernstein_value(points, t, 1)) <= SLOPE_TOL * change
+
+
 @pytest.mark.parametrize("triple, v0, r_max", [
     ((3, 3, 3), 1.0, 50.0),
     ((5, 5, 3), 1.7, 20.0),
@@ -126,29 +137,47 @@ def test_scan_matches_reference_on_trajectory_steps(triple, v0, r_max):
         assert type(r_event) is float
         assert r_event.hex() == want_r.hex() and status is want_status
         assert [x.hex() for x in row] == [x.hex() for x in want_row]
-        t = (want_r - r0) / h
-        for j, D in enumerate(data):
-            value, slope = row[j], row[j + 2]
-            points = hermite_control_points(D)
-            change = sum(map(abs, D)) - abs(D[0]) - abs(D[4]) + abs(D[4] - D[0])
-            assert abs(Fraction(value) - bernstein_value(points, t)) <= VALUE_TOL * sum(map(abs, D))
-            assert abs(Fraction(slope) * Fraction(h) - bernstein_value(points, t, 1)) <= SLOPE_TOL * change
+        _check_row(h, data, (want_r - r0) / h, row)
     assert events == (sol.event_radius is not None)
 
 
 def _event_functions(data):
-    """(status, control points searched, exact control points) per event
+    """(status, control points searched, exact numerators) per event
     function, in order of precedence: v and u reaching zero, u and v
-    reaching blowup.  The exact points are those of the computed control
-    points b, or of 1e8 - b, positive before the event."""
+    reaching blowup.  The exact numerators are those of the computed control
+    points b, or of 1e8 - b, positive before the event, over one power of
+    two, so the sign of their polynomial at any tau is exact too."""
     bu, bv = (_control_points(*d) for d in data)
-    level = Fraction(BLOWUP_THRESHOLD)
+    nu, nv = _numerators(bu), _numerators(bv)
     return [
-        (RadialStatus.V_HIT_ZERO, bv, [Fraction(x) for x in bv]),
-        (RadialStatus.U_HIT_ZERO, bu, [Fraction(x) for x in bu]),
-        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bu], [level - Fraction(x) for x in bu]),
-        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bv], [level - Fraction(x) for x in bv]),
+        (RadialStatus.V_HIT_ZERO, bv, nv[0]),
+        (RadialStatus.U_HIT_ZERO, bu, nu[0]),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bu], [nu[1] - n for n in nu[0]]),
+        (RadialStatus.BLOWUP, [BLOWUP_THRESHOLD - x for x in bv], [nv[1] - n for n in nv[0]]),
     ]
+
+
+def _numerators(points):
+    """Numerators of the float points over their largest denominator, and 1e8 over it."""
+    ratios = [x.as_integer_ratio() for x in points]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], int(BLOWUP_THRESHOLD) * den
+
+
+def _positive_multiple(nums, tau):
+    """The polynomial with control points nums at float tau times a positive integer."""
+    a, q = tau.as_integer_ratio()
+    return sum(n * comb(7, k) * a**k * (q - a) ** (7 - k) for k, n in enumerate(nums))
+
+
+_GRID = [k / 16.0 for k in range(17)]
+_GRID_WEIGHTS = [[comb(7, k) * j**k * (16 - j) ** (7 - k) for k in range(8)] for j in range(17)]
+
+
+def _positive_on_grid(nums, below=math.inf):
+    """True when the polynomial is > 0 at every tau = j/16 < below."""
+    return all(sum(map(operator.mul, nums, w)) > 0
+               for tau, w in zip(_GRID, _GRID_WEIGHTS) if tau < below)
 
 
 def _random_event_steps(rng, n):
@@ -174,32 +203,33 @@ def test_scan_matches_reference_on_random_steps():
     # search runs on 1e8 - b, which a float difference gives exactly there
     # (Sterbenz), so no ulp(1e8) margin is needed.  With w the widest final
     # interval, a search that reports tau must have P > 0 at every grid point
-    # up to tau - w and at tau - w, and P <= 0 at tau - w, tau or tau + w; a
-    # search that reports nothing must have P > 0 on the grid.
-    grid = [Fraction(k, 16) for k in range(17)]
+    # below tau - w and at tau - w, and P <= 0 at tau - w, tau or tau + w; a
+    # search that reports nothing must have P > 0 on the grid.  The event
+    # row of every step with an event is held to the exact interpolant.
     statuses = set()
-    for step in _random_event_steps(random.Random(2024), 1000):
+    for step in _random_event_steps(random.Random(2024), 3000):
         r0, h = step[0], step[1]
         data = _data(*step)
         w = EVENT_RTOL * (r0 + h) / h
         first = None
-        for status, g, exact in _event_functions(data):
-            P = lambda tau: bernstein_value(exact, tau)
+        for status, g, nums in _event_functions(data):
             t = _first_hit(g, r0, h)
             if t is None:
-                assert all(P(x) > 0 for x in grid)
+                assert _positive_on_grid(nums)
                 continue
-            before = [x for x in grid if x < t - w] + ([Fraction(t - w)] if t > w else [])
-            assert all(P(x) > 0 for x in before)
-            assert min(P(Fraction(x)) for x in (max(0.0, t - w), t, min(1.0, t + w))) <= 0
+            assert _positive_on_grid(nums, t - w)
+            assert t <= w or _positive_multiple(nums, t - w) > 0
+            assert min(_positive_multiple(nums, x) for x in (max(0.0, t - w), t, min(1.0, t + w))) <= 0
             if first is None or t < first[0]:
                 first = t, status
         got = _scan_events(r0, h, data)
         if first is None:
             assert got is None
-        else:
-            assert got[:2] == (r0 + first[0] * h, first[1])
-            statuses.add(first[1])
+            continue
+        r_event, status, row = got
+        assert (r_event, status) == (r0 + first[0] * h, first[1])
+        _check_row(h, data, first[0], row)
+        statuses.add(status)
     assert statuses == {RadialStatus.V_HIT_ZERO, RadialStatus.U_HIT_ZERO, RadialStatus.BLOWUP}
 
 
@@ -338,6 +368,11 @@ def test_search_work_is_bounded(monkeypatch):
 
 
 # --- hull pre-test: whenever _hull_clear says a step is clear, the scan is empty
+#
+# _hull_clear is level 0 of _first_hit written out, the same comparisons on
+# the same control points, so these tests pin that copy against the search;
+# that no deeper level can find what level 0 cleared is the average lemma,
+# checked on its own by test_halves_stay_inside_the_parent_range
 
 
 def _scaled(h, w0, d0, dd0, t0, w1, d1, dd1, t1):
