@@ -171,8 +171,9 @@ def quartic_eval(params: SystemParams, kind: QuarticKind, x: float) -> float:
     return _horner(quartic_coefficients(params, kind), x)
 
 
-def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e-13) -> float:
-    """Root of f in [lo, hi], flo = f(lo) and fhi = f(hi) of opposite sign, to rel*max(1, |root|)."""
+def bisect_root(c, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e-13) -> float:
+    """Root in [lo, hi] of the polynomial c = (c0, ..., c4) in Horner form, with
+    flo = f(lo) and fhi = f(hi) of opposite sign, to rel*max(1, |root|)."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -181,7 +182,7 @@ def bisect_root(f, lo: float, hi: float, flo: float, fhi: float, rel: float = 1e
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel * max(1.0, abs(mid)):
             return mid
-        fm = f(mid)
+        fm = _horner(c, mid)
         if fm == 0.0:
             return mid
         if (flo < 0.0) != (fm < 0.0):
@@ -206,7 +207,7 @@ def _roots_from_right(c, points):
             flo = _horner(c, lo)
             if hi is not None and (flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0)):
                 # a zero end is the candidate itself: bisect_root returns it
-                pending.append(bisect_root(lambda x: _horner(c, x), lo, hi, flo, fhi))
+                pending.append(bisect_root(c, lo, hi, flo, fhi))
             hi, fhi = lo, flo
         if pending and (lo is None or pending[-1] - lo > 1e-12 * max(1.0, abs(pending[-1]))):
             kept = [pending.pop()]
@@ -373,8 +374,8 @@ def moser_constants(params: SystemParams, a: float) -> MoserConstants:
     AB > 1 is the condition under which the energy iteration closes.
     """
     p, q = params.p, params.q
-    if not a >= (q + 1.0) / 2.0:
-        raise InvalidMoserExponentError(f"need a >= (q+1)/2 = {(q + 1.0) / 2.0}, got a={a}")
+    if not (q + 1.0) / 2.0 <= a < math.inf:  # NaN fails too
+        raise InvalidMoserExponentError(f"need finite a >= (q+1)/2 = {(q + 1.0) / 2.0}, got a={a}")
     b = a * (p + 1.0) / (q + 1.0)
     spq = math.sqrt(p * q)
     A = spq * (2.0 * a - 1.0) / (a * a)

@@ -1033,8 +1033,8 @@ def blow_down(
     Derivatives pick up the chain-rule factor R.  When an output window
     [r_lo, r_hi] is requested, the input grid must cover [R*r_lo, R*r_hi].
     """
-    if not R > 0.0:
-        raise InvalidInputError("R must be positive")
+    if not 0.0 < R < math.inf:  # NaN fails too
+        raise InvalidInputError(f"R must be positive and finite, got {R!r}")
     consts = derive_constants(sol.params)
     mask = np.ones(len(sol.r), dtype=bool)
     if r_lo is not None or r_hi is not None:

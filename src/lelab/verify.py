@@ -116,27 +116,37 @@ def check_singular_residual(
 
     Uses the closed-form Laplacian of a power law, so the only arithmetic
     is the amplitude relations a*lambda = b^p and b*mu = a^q evaluated on a
-    radius sample.  Amplitude overrides allow perturbation tests.
+    radius sample.  Amplitude overrides allow perturbation tests; they must
+    be finite and nonnegative (b^p of a negative b is complex).  A radius
+    where a side overflows, or both sides are 0, compares nothing and is
+    refused.
     """
     c = derive_constants(params)
     if not (math.isfinite(c.a_coef) and math.isfinite(c.b_coef)):  # lambda, mu > 0, no overflow
         raise UndefinedSingularError(f"lambda={c.lam}, mu={c.mu}: no singular solution with finite amplitudes")
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0 or not np.all(radii > 0.0):
-        raise InvalidInputError("radii must be a nonempty positive sequence")
+    if radii.ndim != 1 or len(radii) == 0 or not np.all((radii > 0.0) & (radii < math.inf)):
+        raise InvalidInputError("radii must be a nonempty sequence of positive finite numbers")
     a = c.a_coef if a_coef is None else float(a_coef)
     b = c.b_coef if b_coef is None else float(b_coef)
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):  # NaN fails too
+        raise InvalidInputError(f"amplitudes must be finite and nonnegative, got a={a!r}, b={b!r}")
     p, q = params.p, params.q
     worst = (0.0, 0.0, 0.0)
     for r in radii:
         # -Laplacian(a r^-alpha) = a*lam*r^(-alpha-2); forcing is (b r^-beta)^p
-        pairs = (
-            (a * c.lam * r ** (-c.alpha - 2.0), b**p * r ** (-c.beta * p)),
-            (b * c.mu * r ** (-c.beta - 2.0), a**q * r ** (-c.alpha * q)),
-        )
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            pairs = (
+                (a * c.lam * r ** (-c.alpha - 2.0), b**p * r ** (-c.beta * p)),
+                (b * c.mu * r ** (-c.beta - 2.0), a**q * r ** (-c.alpha * q)),
+            )
         for lhs, rhs in pairs:
+            if not (lhs < math.inf and rhs < math.inf) or lhs == rhs == 0.0:  # NaN fails too
+                raise InvalidInputError(
+                    f"at r={float(r)!r} the sides {float(lhs)!r}, {float(rhs)!r} overflow or both vanish"
+                )
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-            if rel > worst[0]:
+            if rel > worst[0]:  # rel is in [0, 1]: both sides are finite, >= 0 and not both 0
                 worst = (rel, lhs, rhs)
     return _report(
         "singular_residual",
@@ -156,10 +166,10 @@ def check_comparison(sol: RadialSolution, tolerance: float = 1e-10) -> Verificat
     over 1; the final event row (where a component sits on its located
     zero) is excluded.
     """
-    if not sol.positive:
-        raise InvalidInputError("comparison check needs a positive trajectory")
-    p, q = sol.params.p, sol.params.q
     end = len(sol.r) if sol.status is RadialStatus.COMPLETED else len(sol.r) - 1
+    if end == 0 or not sol.positive:
+        raise InvalidInputError("comparison check needs a positive trajectory with a sample before its last row")
+    p, q = sol.params.p, sol.params.q
     u, v = sol.u[:end], sol.v[:end]
     ratio = v ** (p + 1.0) * (q + 1.0) / ((p + 1.0) * u ** (q + 1.0))
     worst = int(np.argmax(ratio))
@@ -195,72 +205,21 @@ def _step_parts(rr, half, w, s: float, m: float) -> np.ndarray:
     return half * acc
 
 
-_BLOCK = 64
-
-
-def _prefix_table(parts: np.ndarray):
-    """(parts, base, sums): sums[j] is the exact sum of parts[:64 j], an
-    integer in units of 2**base.  sums is None when a part is not finite or
-    their sum could come near overflow; fsum then takes such parts as they
-    are (NaN fails the test too)."""
-    if not np.abs(parts).max() < 2.0**1023 / len(parts):
-        return parts, 0, None
-    mant, exp = np.frexp(parts)
-    base = int(exp.min()) - 53
-    # a part is the int64 mant * 2**53 times 2**shift; the shifted integers
-    # are made and added one at a time, so no list of them all is held
-    ints, shifts = (mant * 2.0**53).astype(np.int64).tolist(), (exp - (53 + base)).tolist()
-    sums = [0]
-    for lo in range(0, len(parts) - _BLOCK + 1, _BLOCK):
-        block = zip(ints[lo : lo + _BLOCK], shifts[lo : lo + _BLOCK])
-        sums.append(sums[-1] + sum(i << k for i, k in block))
-    return parts, base, sums
-
-
-def _expansion(n: int, base: int) -> list[float]:
-    """Floats of at most 53 bits each that add exactly to n * 2**base.
-
-    ldexp places the top bits, so an integer of 2**1024 or more (in units of
-    a small base) does not overflow float().  When n * 2**base is a sum of
-    floats, every piece is a multiple of 2**-1074, so a subnormal piece is
-    exact too.
-    """
-    sign, n, pieces = (-1.0 if n < 0 else 1.0), abs(n), []
-    while n:
-        shift = max(n.bit_length() - 53, 0)
-        top = n >> shift
-        pieces.append(sign * math.ldexp(float(top), shift + base))
-        n -= top << shift
-    return pieces
-
-
-def _prefix_parts(table, rows: int) -> list[float]:
-    """Floats whose exact sum is that of the table's parts[:rows]."""
-    parts, base, sums = table
-    if sums is None:
-        return parts[:rows].tolist()
-    j = rows // _BLOCK
-    return _expansion(sums[j], base) + parts[_BLOCK * j : rows].tolist()
-
-
 def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
                      r_end: float, halved: bool = False) -> float:
     """integral_0^r_end w^s r^m dr on the dense output, w = u or v.
 
     Per accepted step the integrand is evaluated at 7-point Gauss-Legendre
     nodes of the degree-7 Hermite reconstruction (split in half when
-    halved, the re-quadrature oracle).  The nodes of every full step, with
-    u and v there from the fixed Bernstein weights _GL_BASIS, are built
-    once per solution and halved flag and cached on the solution.  From
-    them each key (component, s, m, halved) computes the part of every
-    whole step once, each step's weighted sum left to right over its 7
-    nodes, and keeps with the parts their exact sums at every 64th step
-    as integers (_prefix_table).  A call adds, with math.fsum, the closed
-    core, the exact block sum below r_end split into floats, the at most
-    63 parts after it, and the parts of the last, partial interval,
-    evaluated afresh.  fsum rounds the exact total, which is the exact sum
-    of all the parts, so the result has the bits of an fsum over every
-    part and depends neither on r_end's neighbours nor on earlier calls.
+    halved, the re-quadrature oracle), each step's weighted sum taken left
+    to right over its 7 nodes.  The first call for a key (component, s, m,
+    halved) builds the nodes of every step, evaluates w's table there with
+    the fixed Bernstein weights _GL_BASIS and caches the part of every
+    whole step on the solution.  A call then adds, with one math.fsum, the
+    parts of the last, partial interval, evaluated afresh, the cached parts
+    below r_end and the closed core.  fsum rounds the exact sum, so the
+    result depends neither on the order of the parts, nor on r_end's
+    neighbours, nor on earlier calls.
     The unsampled core [0, r_start] is closed with the leading constant
     term; slightly negative interpolant values near a located zero are
     clamped at zero.
@@ -269,30 +228,27 @@ def _moment_integral(sol: RadialSolution, component: str, s: float, m: float,
     if r_end > grid[-1] * (1 + 1e-12):
         raise InvalidInputError(f"r_end={r_end} beyond the sampled grid")
     w0 = sol.u[0] if component == "u" else sol.v[0]
-    parts = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
+    core = [w0**s * grid[0] ** (m + 1.0) / (m + 1.0)]
     n = min(int(np.searchsorted(grid, r_end, side="left")), len(grid) - 1)
-    if n > 0:
-        name = f"_gauss_cache_{int(halved)}"
-        cached = getattr(sol, name, None)
-        if cached is None:
-            rr, half = _gauss_nodes(grid[:-1], grid[1:], halved)
-            uv = (_bernstein(t.T[:, :, None], _GL_BASIS[halved]).reshape(rr.shape)
-                  for t in sol._tables()[:2])
-            cached = (rr, half, *uv)
-            object.__setattr__(sol, name, cached)
-        tables = getattr(sol, "_moment_parts", None)
-        if tables is None:
-            tables = {}
-            object.__setattr__(sol, "_moment_parts", tables)
-        key = (component, s, m, halved)
-        if key not in tables:
-            rr, half, u, v = cached
-            tables[key] = _prefix_table(_step_parts(rr, half, u if component == "u" else v, s, m))
-        rr, half = _gauss_nodes(grid[n - 1 : n], np.minimum(grid[n : n + 1], r_end), halved)
-        u, v = sol._dense(sol._tables()[:2], n - 1, rr)
-        parts += _prefix_parts(tables[key], (n - 1) * (2 if halved else 1))
-        parts += _step_parts(rr, half, u if component == "u" else v, s, m).tolist()
-    return math.fsum(parts)
+    if n == 0:
+        return math.fsum(core)
+    table = sol._tables()[component != "u"]
+    cache = getattr(sol, "_moment_parts", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(sol, "_moment_parts", cache)
+    key = (component, s, m, halved)
+    if key not in cache:
+        rr, half = _gauss_nodes(grid[:-1], grid[1:], halved)
+        w = _bernstein(table.T[:, :, None], _GL_BASIS[halved]).reshape(rr.shape)
+        # last step first: the parts mostly grow with r, and fsum is several
+        # times faster when it meets the large ones first
+        cache[key] = _step_parts(rr, half, w, s, m)[::-1].tolist()
+    parts = cache[key]
+    below = parts[len(parts) - (n - 1) * (1 + halved) :]
+    rr, half = _gauss_nodes(grid[n - 1 : n], np.minimum(grid[n : n + 1], r_end), halved)
+    (w,) = sol._dense((table,), n - 1, rr)
+    return math.fsum(_step_parts(rr, half, w, s, m).tolist() + below + core)
 
 
 def pohozaev_sides(

@@ -1,4 +1,5 @@
 import json
+import random
 import warnings
 
 import numpy as np
@@ -199,6 +200,28 @@ def test_non_finite_verify_inputs_exit_2_without_a_warning(tail, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tail", [
+    ["--scale-a", "nan"],
+    ["--scale-a", "inf"],
+    ["--scale-b=-inf"],
+    ["--scale-b", "-1"],
+    ["--radii", "1e300"],
+    ["--radii", "1e-300"],
+    ["--radii", "1,inf"],
+])
+def test_singular_checks_it_cannot_make_exit_2_without_a_warning(tail, capsys):
+    # none of these compares anything: a non-finite or negative amplitude, an
+    # infinite radius, or a radius where both sides overflow or vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["verify", "singular", "-p", "3", "-q", "3", "-d", "13", *tail])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_overflowing_trial_stages_end_the_shot_cleanly(capsys):
     # u(r_start) < 0 at this v0: the series start is refused before any
     # trial stage can overflow, with one line and no traceback
@@ -245,3 +268,46 @@ def test_unwritable_out_path_exits_2_on_one_line(where, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"lelab: error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+
+
+# every subcommand with valid numeric flags, on short ranges
+_FUZZ_BASES = [
+    (["classify"], {"-p": "3", "-q": "3", "-d": "13"}),
+    (["curve", "--kind", "jl"], {"-d": "13", "--p-min": "1.5", "--p-max": "4", "-n": "4"}),
+    (["grid"], {"-d": "13", "--p-min": "1.5", "--p-max": "4", "--q-min": "1", "--q-max": "4", "-n": "3"}),
+    (["shoot"], {"-p": "3", "-q": "3", "-d": "13", "--v0": "1", "--r-max": "5", "--rel-tol": "1e-8"}),
+    (["ground-state"], {"-p": "5", "-q": "5", "-d": "3", "--bracket-lo": "0.5", "--bracket-hi": "2",
+                        "--r-max": "5", "--rel-tol": "1e-6"}),
+    (["verify", "singular"], {"-p": "3", "-q": "3", "-d": "13", "--radii": "0.5,1,2",
+                              "--scale-a": "1", "--scale-b": "1"}),
+    (["verify", "comparison"], {"-p": "3", "-q": "3", "-d": "13", "--v0": "1", "--r-max": "5",
+                                "--rel-tol": "1e-8"}),
+    (["verify", "pohozaev"], {"-p": "3", "-q": "3", "-d": "13", "--v0": "1", "--R": "2", "--a1": "0",
+                              "--r-max": "5", "--rel-tol": "1e-8"}),
+    (["verify", "energy"], {"-p": "3", "-q": "3", "-d": "13", "--v0": "1", "--s": "3",
+                            "--radii": "1,2,3,4", "--rel-tol": "1e-8"}),
+    (["verify", "rayleigh"], {"-p": "3", "-q": "3", "-d": "13", "--cutoffs": "5"}),
+    (["verify", "spherical"], {"-p": "3", "-q": "3", "-d": "13", "--l-max": "4"}),
+]
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "x1"]
+
+
+def test_argv_fuzz_exits_0_1_or_2_without_a_traceback(capsys):
+    # one or two numeric flags take a drawn value, the others keep theirs;
+    # "=" keeps a drawn "-1" a value
+    rng = random.Random(24)
+    codes = set()
+    for _ in range(2000):
+        head, flags = rng.choice(_FUZZ_BASES)
+        drawn = dict(flags)
+        for flag in rng.sample(sorted(flags), rng.randint(1, 2)):
+            drawn[flag] = rng.choice(_FUZZ_VALUES)
+        argv = head + [f"{flag}={value}" for flag, value in drawn.items()]
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if rc == 2:
+            assert err.startswith("lelab: error:") and err.count("\n") == 1, (argv, err)
+        codes.add(rc)
+    assert codes >= {0, 2}

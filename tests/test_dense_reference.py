@@ -8,7 +8,7 @@ points rounded once from the exact ones; the library evaluates its own
 control points in the power form of the Bernstein basis, so agreement is
 required to REL, a few hundred ulps.  Fed the library's node values, the
 reference's left-to-right 7-node sums match the library's bit for bit,
-and the cached nodes must give bits that do not depend on the order of
+and the cached parts must give bits that do not depend on the order of
 the calls.
 """
 
@@ -40,8 +40,6 @@ from lelab.verify import (
     _GL_NODES,
     _GL_WEIGHTS,
     _moment_integral,
-    _prefix_parts,
-    _prefix_table,
 )
 
 REL = 1e-13
@@ -302,8 +300,8 @@ def test_node_sets_are_built_once_per_solution(slow_decay_3313, monkeypatch):
     sol = _fresh(slow_decay_3313)
     params, r_max = sol.params, sol.r[-1]
     steps = len(sol.r) - 1
-    calls, built, tables = [], [], []
-    dense, gauss_nodes, prefix_table = RadialSolution._dense, verify._gauss_nodes, verify._prefix_table
+    calls, built = [], []
+    dense, gauss_nodes = RadialSolution._dense, verify._gauss_nodes
 
     def counted(self, tables, idx, r):
         calls.append((len(tables), np.shape(r)))
@@ -313,28 +311,16 @@ def test_node_sets_are_built_once_per_solution(slow_decay_3313, monkeypatch):
         built.append((len(lo), halved))
         return gauss_nodes(lo, hi, halved)
 
-    def counted_table(parts):
-        tables.append(len(parts))
-        return prefix_table(parts)
-
     monkeypatch.setattr(RadialSolution, "_dense", counted)
     monkeypatch.setattr(verify, "_gauss_nodes", counted_nodes)
-    monkeypatch.setattr(verify, "_prefix_table", counted_table)
-    check_energy_growth(sol, 1.0, np.geomspace(r_max / 10.0, r_max / 1.05, 5))
-    for R, a1, halved in ((2.0, 0.0, False), (2.0, 5.5, False), (900.0, 0.0, False),
-                          (900.0, 11.0, False), (900.0, 5.5, True)):
-        check_pohozaev(sol, R, PohozaevWeights.from_a1(params, a1), halved=halved)
-    # the nodes of every step, with u and v there, once per halved flag
-    assert [b for b in built if b[0] == steps] == [(steps, False), (steps, True)]
-    assert [len(a) for a in sol._gauss_cache_0] == [steps] * 4
-    assert [len(a) for a in sol._gauss_cache_1] == [2 * steps] * 4
-    # one partial interval per moment integral: 5 growth radii, 2 per Pohozaev check
-    assert built.count((1, False)) == 5 + 8 and built.count((1, True)) == 2
-    assert calls.count((2, (1, 7))) == 5 + 8
-    assert calls.count((2, (2, 7))) == 2
-    # the boundary terms of each Pohozaev check
-    assert calls.count((4, (1,))) == 5
-    assert len(calls) == 15 + 5
+
+    def checks():
+        check_energy_growth(sol, 1.0, np.geomspace(r_max / 10.0, r_max / 1.05, 5))
+        for R, a1, halved in ((2.0, 0.0, False), (2.0, 5.5, False), (900.0, 0.0, False),
+                              (900.0, 11.0, False), (900.0, 5.5, True)):
+            check_pohozaev(sol, R, PohozaevWeights.from_a1(params, a1), halved=halved)
+
+    checks()
     # the parts of every whole step, once per key: 15 integrals over 5 keys
     p, q, d = params.p, params.q, params.d
     assert sorted(sol._moment_parts) == sorted([
@@ -344,7 +330,21 @@ def test_node_sets_are_built_once_per_solution(slow_decay_3313, monkeypatch):
         ("u", q + 1.0, d - 1.0, True),
         ("v", p + 1.0, d - 1.0, True),
     ])
-    assert sorted(tables) == [steps] * 3 + [2 * steps] * 2
+    assert sorted(b for b in built if b[0] == steps) == [(steps, False)] * 3 + [(steps, True)] * 2
+    assert sorted(map(len, sol._moment_parts.values())) == [steps] * 3 + [2 * steps] * 2
+    # one partial interval per moment integral, on that component's table
+    # alone: 5 growth radii, 2 per Pohozaev check
+    assert built.count((1, False)) == 5 + 8 and built.count((1, True)) == 2
+    assert calls.count((1, (1, 7))) == 5 + 8
+    assert calls.count((1, (2, 7))) == 2
+    # the boundary terms of each Pohozaev check
+    assert calls.count((4, (1,))) == 5
+    assert len(calls) == 15 + 5
+    # the same checks again build no parts, and a fresh copy carries none
+    built.clear()
+    checks()
+    assert [b for b in built if b[0] == steps] == []
+    assert len(built) == 15
     assert not hasattr(_fresh(sol), "_moment_parts")
 
 
@@ -365,67 +365,3 @@ def test_moment_integral_bits_match_one_fsum_over_every_part(solution, halved):
         got = _moment_integral(sol, component, s, d - 1.0, R, halved)
         want = _reference_moment_integral(solution, component, s, d - 1.0, R, halved, library_nodes=True)
         assert got.hex() == want.hex(), (R, component, s)
-
-
-def _draw(rng, signed):
-    """0.0, a subnormal, or a float up to 2**1000; negative half the time when signed."""
-    kind = rng.random()
-    if kind < 0.1:
-        x = 0.0
-    elif kind < 0.3:
-        x = rng.randrange(1, 2**52) * 2.0**-1074
-    else:
-        x = math.ldexp(rng.random(), rng.randrange(-1021, 1001))
-    return -x if signed and rng.random() < 0.5 else x
-
-
-@pytest.mark.parametrize("signed", [False, True])
-def test_prefix_parts_add_exactly(signed):
-    # split at every index, the block prefix and the parts after it give the
-    # fsum of the whole, and of the head alone, bit for bit; the head's
-    # floats add exactly to the parts before the split
-    rng = random.Random(7 + signed)
-    for n in (1, 63, 64, 65, 200, 257):
-        parts = np.array([_draw(rng, signed) for _ in range(n)])
-        table = _prefix_table(parts)
-        assert table[2] is not None
-        whole = math.fsum(parts.tolist()).hex()
-        exact = Fraction(0)
-        for k in range(n + 1):
-            head = _prefix_parts(table, k)
-            assert sum(map(Fraction, head)) == exact, (n, k)
-            assert math.fsum(head + parts[k:].tolist()).hex() == whole, (n, k)
-            assert math.fsum(head).hex() == math.fsum(parts[:k].tolist()).hex(), (n, k)
-            exact += Fraction(parts[k]) if k < n else 0
-
-
-def test_prefix_parts_keep_the_lowest_bit():
-    # 1 + 2**-53 is a tie that rounds to even, 1.0; the subnormal in the
-    # block prefix breaks it upwards, so no bit of the prefix may be lost
-    parts = np.array([1.0, 2.0**-53, 2.0**-1074] + [0.0] * 70)
-    table = _prefix_table(parts)
-    for k in (64, 65, len(parts)):
-        assert math.fsum(_prefix_parts(table, k)) == 1.0 + 2.0**-52
-
-
-@pytest.mark.parametrize("bad", [[math.inf], [math.nan], [math.inf, -math.inf], [2.0**1020] * 3])
-def test_non_finite_or_huge_parts_keep_the_plain_fsum(bad):
-    # such a key keeps the plain fsum: inf, NaN, ValueError and overflow as before
-    rng = random.Random(3)
-    parts = [_draw(rng, False) for _ in range(150)]
-    parts[70:70] = bad
-    parts = np.array(parts)
-    table = _prefix_table(parts)
-    assert table[2] is None
-    for k in (0, 64, 71, 72, 73, len(parts)):
-        head = _prefix_parts(table, k)
-        assert np.array_equal(head, parts[:k], equal_nan=True)
-        try:
-            want = repr(math.fsum(parts.tolist()))
-        except (ValueError, OverflowError) as exc:
-            want = type(exc)
-        try:
-            got = repr(math.fsum(head + parts[k:].tolist()))
-        except (ValueError, OverflowError) as exc:
-            got = type(exc)
-        assert got == want, k

@@ -217,6 +217,13 @@ def test_moser_invalid_exponent():
         moser_constants(SystemParams(3, 3, 13), 1.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_moser_exponent_must_be_finite(a):
+    # a = inf passes a >= (q+1)/2 and would give A = B = nan
+    with pytest.raises(InvalidMoserExponentError):
+        moser_constants(SystemParams(3, 3, 13), a)
+
+
 def test_largest_root_q1_edge():
     # at q = 1 with large p the jl quartic is positive at the origin, so a
     # plain sign bracket from 0 would miss; the cascade must still isolate

@@ -310,6 +310,13 @@ def test_blow_down_window_not_covered(slow_decay_3313):
         blow_down(slow_decay_3313, 100.0, r_lo=0.5, r_hi=20.0)
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+def test_blow_down_needs_a_positive_finite_scale(slow_decay_3313, R):
+    # an infinite scale would give arrays of inf and a grid of zeros
+    with pytest.raises(InvalidInputError):
+        blow_down(slow_decay_3313, R)
+
+
 def test_singular_profile_requires_amplitudes():
     with pytest.raises(UndefinedSingularError):
         singular_profile(SystemParams(1.2, 1.1, 3), np.geomspace(0.1, 10, 50))

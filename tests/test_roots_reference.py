@@ -310,8 +310,8 @@ def test_lockstep_bisection_stops_where_bisect_root_does():
     why = np.zeros(len(lanes), dtype=int)
     got = exponents._lockstep_piece(c, lo, hi, why)
     for k, (a, b, r) in enumerate(lanes):
-        f = lambda x: exponents._horner((-r, 1.0, 0.0, 0.0, 0.0), x)
-        want = exponents.bisect_root(f, a, b, f(a), f(b))
+        line = (-r, 1.0, 0.0, 0.0, 0.0)
+        want = exponents.bisect_root(line, a, b, exponents._horner(line, a), exponents._horner(line, b))
         assert got[k].hex() == want.hex(), lanes[k]
         # _roots_from_right yields the root at once only outside the dedupe window
         assert why[k] == (0 if want - a > 1e-12 * max(1.0, abs(want)) else 4), lanes[k]

@@ -39,6 +39,24 @@ def test_singular_residual_pass_and_perturbation():
     assert 1e-3 < rep.residual < 1e-1
 
 
+@pytest.mark.parametrize("a_coef, radii", [
+    (math.nan, [0.5, 1.0, 2.0]),
+    (math.inf, [0.5, 1.0, 2.0]),
+    (-1.0, [0.5, 1.0, 2.0]),  # b^p of a negative amplitude is complex
+    (None, [1.0, math.inf]),
+    (None, [1.0, math.nan]),
+    (None, [1.0, 1e300]),  # both sides underflow to 0
+    (None, [1e-300, 1.0]),  # both sides overflow
+])
+def test_singular_residual_refuses_what_it_cannot_compare(a_coef, radii):
+    # non-finite amplitudes and radii, where a NaN residual was skipped and
+    # the check passed with residual 0, and radii that compare nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(InvalidInputError):
+            check_singular_residual(SystemParams(3, 3, 13), radii, a_coef=a_coef)
+
+
 def test_singular_residual_undefined():
     with pytest.raises(UndefinedSingularError):
         check_singular_residual(SystemParams(1.2, 1.1, 3), [1.0])
@@ -67,6 +85,15 @@ def test_comparison_equality_and_strict_cases(ground_state_553, slow_decay_3313)
     sol = integrate(SystemParams(3, 2, 13), 1.05, 5.0, rel_tol=1e-10)
     rep = check_comparison(sol)
     assert rep.passed
+
+
+def test_comparison_refuses_a_run_without_a_sample_before_its_last_row():
+    # at d = 1e300 the first step underflows: one row, which the check
+    # excludes, once left an empty sample and a ValueError from argmax
+    sol = integrate(SystemParams(3, 3, 1e300), 1.0, 5.0, rel_tol=1e-8)
+    assert sol.status is RadialStatus.STEP_UNDERFLOW and len(sol.r) == 1
+    with pytest.raises(InvalidInputError):
+        check_comparison(sol)
 
 
 def test_comparison_detects_violation():
