@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import EmptyTraceError, InvalidInputError, InvalidParamsError
+from .errors import EmptyTraceError, InvalidInputError
 from .exponents import (
     DerivedConstants,
     QuarticKind,
     SystemParams,
+    _closed_forms,
     _lockstep_largest_roots,
     _margin,
     _quartic_from_constants,
@@ -108,7 +109,7 @@ def classify(params: SystemParams) -> RegimeReport:
 
 
 def _report(params: SystemParams, consts: DerivedConstants, x0_plain: float, x0_jl: float) -> RegimeReport:
-    margin = _margin(params, consts)
+    margin = _margin(params.p, params.q, consts.H, consts.lam, consts.mu)
     crit = criticality(params)
     gap = hyperbola_gap(params)
     on_or_above = margin >= 0.0
@@ -255,14 +256,18 @@ def trace_jl_curve(d: float, p_min: float, p_max: float, n: int) -> CurveTrace:
 
 def _margin_and_tol(p: float, q: float, d: float) -> tuple[float, float]:
     """The JL margin at (p, q, d) and half its convergence tolerance, from one
-    set of constants.  The margin is symmetric under swapping p and q; the
-    pair is normalized so that SystemParams accepts it past q = p."""
-    params = SystemParams(q, p, d) if q > p else SystemParams(p, q, d)
-    c = derive_constants(params)
-    return _margin(params, c), 0.5 * JL_CURVE_TOL * max(1.0, c.H**2)
+    set of closed forms.  The margin is symmetric under swapping p and q; the
+    pair is normalized as SystemParams would need it past q = p.  The caller
+    has checked p and d with SystemParams, and keeps q finite and >= 1."""
+    if q > p:
+        p, q = q, p
+    _, _, _, H, lam, mu = _closed_forms(p, q, d)
+    return _margin(p, q, H, lam, mu), 0.5 * JL_CURVE_TOL * max(1.0, H**2)
 
 
 def _jl_curve_point(p: float, d: float) -> CurvePoint:
+    checked = SystemParams(p, 1.0, d)  # what every margin evaluation would check
+    p, d = checked.p, checked.d
     q_lo, q_hi = 1.0, p
     (f_lo, tol_lo), (f_hi, tol_hi) = _margin_and_tol(p, q_lo, d), _margin_and_tol(p, q_hi, d)
     out_of_range = False
@@ -278,6 +283,8 @@ def _jl_curve_point(p: float, d: float) -> CurvePoint:
             found = False
             for _ in range(40):
                 q_hi = 2.0 * q_lo
+                if q_hi == math.inf:
+                    SystemParams(q_hi, p, d)  # raises: p, q, d must be finite
                 f_hi, _ = _margin_and_tol(p, q_hi, d)
                 if (f_lo < 0.0) != (f_hi < 0.0):
                     found = True
@@ -312,7 +319,8 @@ def grid_classify(
 ) -> list[RegimeReport]:
     """Classify a (p, q) grid at fixed d, row-major in p then q.
 
-    Grid points violating p >= q >= 1 or pq > 1 are skipped.  The output
+    Grid points violating p >= q >= 1 or pq > 1 are skipped; a non-finite
+    range end or an invalid d raises InvalidParamsError.  The output
     order is deterministic, so repeated runs serialize identically.  Each
     report equals classify()'s bit for bit: the largest roots of both
     quartics come from one lockstep bisection over all grid points, which
@@ -323,14 +331,15 @@ def grid_classify(
         raise InvalidInputError("resolution must be >= 2")
     if not (p_range[1] >= p_range[0] and q_range[1] >= q_range[0]):
         raise InvalidInputError("empty parameter range")
+    for x in (*p_range, *q_range):  # SystemParams' checks of finiteness and of d, once per grid
+        SystemParams(2.0 + abs(x), 1.0, d)  # the pair passes its test when x is finite
+    qs = _linspace(q_range[0], q_range[1], resolution)
     triples = []
     for p in _linspace(p_range[0], p_range[1], resolution):
-        for q in _linspace(q_range[0], q_range[1], resolution):
-            try:
+        for q in qs:
+            if p >= q >= 1.0 and p * q > 1.0:  # SystemParams' pair test, without the raise
                 params = SystemParams(p, q, d)
-            except InvalidParamsError:
-                continue
-            triples.append((params, derive_constants(params)))
+                triples.append((params, derive_constants(params)))
     kinds = (QuarticKind.PLAIN_H, QuarticKind.JOSEPH_LUNDGREN)
     quartics = [(pr, kind, _quartic_from_constants(pr, c, kind)) for kind in kinds for pr, c in triples]
     roots, why = _lockstep_largest_roots([coeffs for _, _, coeffs in quartics])

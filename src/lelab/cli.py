@@ -115,20 +115,18 @@ def _radii(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"need comma-separated numbers, got {text!r}") from None
 
 
+#: one grid/classify CSV row: twelve numbers as _fmt writes them, then six words
+_ROW = ",".join(["%.17g"] * 12 + ["%s"] * 6)
+
+
 def _report_row(rep: RegimeReport) -> str:
     c = rep.constants
-    fields = [
-        _fmt(rep.params.p), _fmt(rep.params.q), _fmt(rep.params.d),
-        _fmt(c.alpha), _fmt(c.beta), _fmt(c.gamma), _fmt(c.H), _fmt(c.lam), _fmt(c.mu),
-        _fmt(rep.jl_margin), _fmt(rep.x0_plain), _fmt(rep.x0_jl),
-        rep.criticality.value,
-        "true" if rep.on_or_above_jl else "false",
-        _flag(rep.thm_d_le_10_applies),
-        _flag(rep.thm_below_jl_applies),
-        _flag(rep.thm_quartic_applies),
-        _flag(rep.thm_stable_radial_exists),
-    ]
-    return ",".join(fields)
+    return _ROW % (
+        rep.params.p, rep.params.q, rep.params.d, c.alpha, c.beta, c.gamma, c.H, c.lam, c.mu,
+        rep.jl_margin, rep.x0_plain, rep.x0_jl, rep.criticality.value, _flag(rep.on_or_above_jl),
+        _flag(rep.thm_d_le_10_applies), _flag(rep.thm_below_jl_applies),
+        _flag(rep.thm_quartic_applies), _flag(rep.thm_stable_radial_exists),
+    )
 
 
 def _report_json(rep: RegimeReport) -> dict:

@@ -128,14 +128,9 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
     The amplitudes satisfy a*lambda = b^p and b*mu = a^q, so the pair
     (a r^-alpha, b r^-beta) solves the system away from the origin.
     """
-    p, q, d = params.p, params.q, params.d
+    p, q = params.p, params.q
+    alpha, beta, gamma, H, lam, mu = _closed_forms(p, q, params.d)
     pq1 = p * q - 1.0
-    alpha = 2.0 * (p + 1.0) / pq1
-    beta = 2.0 * (q + 1.0) / pq1
-    gamma = alpha - beta
-    H = ((d - 2.0) ** 2 - gamma**2) / 4.0
-    lam = alpha * (d - 2.0 - alpha)
-    mu = beta * (d - 2.0 - beta)
     a_coef = b_coef = math.nan
     if lam > 0.0 and mu > 0.0:
         try:  # near pq = 1 the power 1/(pq - 1) can overflow
@@ -147,6 +142,18 @@ def derive_constants(params: SystemParams) -> DerivedConstants:
         except OverflowError:
             b_coef = math.inf
     return DerivedConstants(alpha, beta, gamma, H, lam, mu, a_coef, b_coef)
+
+
+def _closed_forms(p: float, q: float, d: float) -> tuple[float, float, float, float, float, float]:
+    """alpha, beta, gamma, H, lambda and mu of derive_constants, for a valid triple."""
+    pq1 = p * q - 1.0
+    alpha = 2.0 * (p + 1.0) / pq1
+    beta = 2.0 * (q + 1.0) / pq1
+    gamma = alpha - beta
+    H = ((d - 2.0) ** 2 - gamma**2) / 4.0
+    lam = alpha * (d - 2.0 - alpha)
+    mu = beta * (d - 2.0 - beta)
+    return alpha, beta, gamma, H, lam, mu
 
 
 def quartic_coefficients(params: SystemParams, kind: QuarticKind) -> tuple[float, float, float, float, float]:
@@ -256,7 +263,7 @@ def largest_root(params: SystemParams, kind: QuarticKind) -> float:
 
 #: why a lane of _lockstep_largest_roots left the common path (code = index)
 LOCKSTEP_FALLBACKS = ("", "exact zero at a bracket end", "no sign change on the first piece",
-                      "critical point outside (-x_hi, x_hi)", "root inside the dedupe window")
+                      "critical point outside (-x_hi, x_hi)", "root inside the dedupe window", "x_hi not finite")
 
 
 def _horner(c, x):
@@ -274,37 +281,52 @@ def _lockstep_piece(c, lo, hi, why):
     flo, fhi = _horner(c, lo), _horner(c, hi)
     why[(why == 0) & ((flo == 0.0) | (fhi == 0.0))] = 1
     why[(why == 0) & ((flo < 0.0) == (fhi < 0.0))] = 2
-    # bisect_root step for step; a lane keeps its value once it stops
-    a, b, root, live = lo, hi, np.empty_like(lo), np.ones(lo.shape, dtype=bool)
+    # bisect_root step for step on the lanes with no reason yet; a lane keeps
+    # its value once it stops.  a only moves to a midpoint where f has f(a)'s sign
+    a, b, root, live, neg = lo, hi, np.full_like(lo, math.nan), why == 0, flo < 0.0
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _horner(c, mid)
-        stop = live & ((b - a <= 1e-13) | (b - a <= 1e-13 * np.abs(mid)) | (fm == 0.0))
-        root[stop] = mid[stop]
-        live &= ~stop
         if not live.any():
             break
-        left = (flo < 0.0) != (fm < 0.0)
-        a, b, flo = np.where(left, a, mid), np.where(left, mid, b), np.where(left, flo, fm)
-    root[live] = 0.5 * (a + b)[live]
+        mid = 0.5 * (a + b)
+        fm = _horner(c, mid)
+        stop = live & ((b - a <= 1e-13 * np.maximum(1.0, np.abs(mid))) | (fm == 0.0))
+        np.copyto(root, mid, where=stop)
+        live ^= stop
+        left = neg != (fm < 0.0)
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    np.copyto(root, 0.5 * (a + b), where=live)
     why[(why == 0) & ~(root - lo > 1e-12 * np.maximum(1.0, np.abs(root)))] = 4
     return root
+
+
+def _lockstep_bounds(c):
+    """_derivative_points' x_hi and first point below it, for the lanes of c at once;
+    Python's max and numpy's differ on NaN, so only a finite x_hi keeps its bits."""
+    x_hi = 1.0 + np.abs(c[:4]).max(axis=0)
+    disc = 36.0 * c[3] * c[3] - 96.0 * c[2]
+    s = np.sqrt(np.maximum(disc, 0.0))
+    # the roots of f'' in (-x_hi, x_hi), the upper one first; -c3/4 when disc == 0
+    upper = np.where(disc > 0.0, (-6.0 * c[3] + s) / 24.0, -c[3] / 4.0)
+    lower = (-6.0 * c[3] - s) / 24.0
+    below = -x_hi
+    np.copyto(below, lower, where=(disc > 0.0) & (-x_hi < lower) & (lower < x_hi))
+    np.copyto(below, upper, where=(disc >= 0.0) & (-x_hi < upper) & (upper < x_hi))
+    return x_hi, below
 
 
 def _lockstep_largest_roots(coeffs):
     """largest_root's common path, one lane per monic quartic c = (c0, ..., c4):
     f' is bisected on its first piece below x_hi for the largest critical
-    point x1, then f on [x1, x_hi].  numpy's elementwise float64 +, *, abs
-    and comparisons round as Python floats do, so every lane keeps the bits
-    of the scalar scan.  Returns the roots and per lane an index into
-    LOCKSTEP_FALLBACKS; where it is not 0 the root is void: ask largest_root.
+    point x1, then f on [x1, x_hi].  numpy's elementwise float64 + - * /,
+    sqrt, abs, maximum and comparisons round as Python floats do, so every
+    lane keeps the bits of the scalar scan.  Returns the roots and per lane an
+    index into LOCKSTEP_FALLBACKS; where it is not 0, ask largest_root.
     """
-    scans = [_derivative_points(c) for c in coeffs]
-    x_hi = np.array([x for x, _ in scans], dtype=float)
     c = np.array(coeffs, dtype=float).reshape(-1, 5).T
-    why = np.zeros(len(coeffs), dtype=int)
+    why = np.zeros(c.shape[1], dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        below = np.array([points[1] for _, points in scans], dtype=float)  # first point under x_hi
+        x_hi, below = _lockstep_bounds(c)
+        why[~(x_hi < math.inf)] = 5  # NaN too
         x1 = _lockstep_piece(_derivative(c), below, x_hi, why)
         why[(why == 0) & ~((-x_hi < x1) & (x1 < x_hi))] = 3
         return _lockstep_piece(c, x1, x_hi, why), why
@@ -317,11 +339,12 @@ def jl_margin(params: SystemParams) -> float:
     curve at dimension d (the existence side for d >= 11); < 0 is the
     nonexistence side.  Equality is grouped with the existence side.
     """
-    return _margin(params, derive_constants(params))
+    c = derive_constants(params)
+    return _margin(params.p, params.q, c.H, c.lam, c.mu)
 
 
-def _margin(params: SystemParams, c: DerivedConstants) -> float:
-    return c.H * c.H - params.p * params.q * c.lam * c.mu
+def _margin(p: float, q: float, H: float, lam: float, mu: float) -> float:
+    return H * H - p * q * lam * mu
 
 
 @dataclass(frozen=True)
@@ -360,8 +383,8 @@ def linearisation(params: SystemParams) -> Linearisation:
     D, g = 0.5 * (params.d - 2.0), 0.5 * c.gamma
     w_plus = D * D + g * g + math.sqrt(4.0 * D * D * g * g + params.p * params.q * c.lam * c.mu)
     shift = 0.5 * (c.alpha + c.beta) - D
-    roots = tuple(shift + sign * cmath.sqrt(w)
-                  for w in (w_plus, _margin(params, c) / w_plus) for sign in (1.0, -1.0))
+    w_minus = _margin(params.p, params.q, c.H, c.lam, c.mu) / w_plus
+    roots = tuple(shift + sign * cmath.sqrt(w) for w in (w_plus, w_minus) for sign in (1.0, -1.0))
     # shift - sqrt(w+) < (alpha + beta)/2 - (d - 2) < 0, so a decaying root exists
     slowest = max((r for r in roots if r.real < 0.0), key=lambda r: (r.real, r.imag))
     return Linearisation(roots, slowest)
@@ -370,14 +393,18 @@ def linearisation(params: SystemParams) -> Linearisation:
 def moser_constants(params: SystemParams, a: float) -> MoserConstants:
     """Gain factors A = sqrt(pq)(2a-1)/a^2 and B = sqrt(pq)(2b-1)/b^2.
 
-    b is tied to a by b(q+1) = a(p+1).  Requires a >= (q+1)/2; the product
-    AB > 1 is the condition under which the energy iteration closes.
+    b is tied to a by b(q+1) = a(p+1).  Requires a >= (q+1)/2 and a b that
+    does not overflow; the product AB > 1 is the condition under which the
+    energy iteration closes.
     """
     p, q = params.p, params.q
     if not (q + 1.0) / 2.0 <= a < math.inf:  # NaN fails too
         raise InvalidMoserExponentError(f"need finite a >= (q+1)/2 = {(q + 1.0) / 2.0}, got a={a}")
     b = a * (p + 1.0) / (q + 1.0)
+    if b == math.inf:
+        raise InvalidMoserExponentError(f"b = a(p+1)/(q+1) overflows at a={a}")
     spq = math.sqrt(p * q)
-    A = spq * (2.0 * a - 1.0) / (a * a)
-    B = spq * (2.0 * b - 1.0) / (b * b)
+    # (2x - 1)/x^2, taken as (2 - 1/x)/x where x*x overflows
+    A, B = (spq * (2.0 * x - 1.0) / (x * x) if x * x < math.inf else spq * (2.0 - 1.0 / x) / x
+            for x in (a, b))
     return MoserConstants(a=a, b=b, A=A, B=B)

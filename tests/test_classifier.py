@@ -17,6 +17,8 @@ from lelab import (
     trace_hyperbola,
     trace_jl_curve,
 )
+from lelab import classifier
+from lelab.errors import InvalidParamsError
 from conftest import sample_supercritical, sample_valid
 
 
@@ -171,3 +173,41 @@ def test_criticality_band():
     assert classify(on).criticality is Criticality.CRITICAL_HYPERBOLA
     assert classify(SystemParams(3, 3, 5)).criticality is Criticality.SUPERCRITICAL
     assert classify(SystemParams(3, 3, 3)).criticality is Criticality.SUBCRITICAL
+
+
+def _reference_margin_and_tol(p, q, d):
+    """The JL margin path with a SystemParams and the closed forms of
+    derive_constants written out at every evaluation."""
+    params = SystemParams(q, p, d) if q > p else SystemParams(p, q, d)
+    p, q, d = params.p, params.q, params.d
+    pq1 = p * q - 1.0
+    alpha = 2.0 * (p + 1.0) / pq1
+    beta = 2.0 * (q + 1.0) / pq1
+    gamma = alpha - beta
+    H = ((d - 2.0) ** 2 - gamma**2) / 4.0
+    lam = alpha * (d - 2.0 - alpha)
+    mu = beta * (d - 2.0 - beta)
+    return H * H - p * q * lam * mu, 0.5 * classifier.JL_CURVE_TOL * max(1.0, H**2)
+
+
+def _trace_bits(d, p_min, p_max, n):
+    try:
+        trace = trace_jl_curve(d, p_min, p_max, n)
+    except InvalidParamsError as exc:
+        return str(exc)
+    return [(pt.p.hex(), pt.q.hex(), pt.status) for pt in trace.points]
+
+
+def test_jl_curve_matches_the_per_evaluation_margin_path(monkeypatch):
+    rng = np.random.default_rng(25)
+    cases = [(13.0, 1e296, 1e297, 2)]  # the expansion above the diagonal overflows
+    for _ in range(150):
+        d = float(rng.integers(3, 21)) if rng.random() < 0.5 else rng.uniform(3.0, 20.0)
+        p_min = rng.uniform(0.8, 4.0)
+        cases.append((d, p_min, p_min + rng.uniform(0.0, 30.0), int(rng.integers(2, 25))))
+    got = [_trace_bits(*case) for case in cases]
+    monkeypatch.setattr(classifier, "_margin_and_tol", _reference_margin_and_tol)
+    assert got == [_trace_bits(*case) for case in cases]
+    assert got[0] == "p, q, d must be finite"
+    seen = {status for bits in got[1:] for _, _, status in bits}
+    assert seen == set(CurvePointStatus), seen

@@ -222,6 +222,39 @@ def test_singular_checks_it_cannot_make_exit_2_without_a_warning(tail, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pohozaev", "--v0", "1", "--R", "2", "--a1", "0", "--r-max", "5"],
+    ["energy", "--v0", "1", "--s", "1", "--radii", "1,2,3,4"],
+])
+def test_fourth_derivatives_past_the_float_range_exit_2_without_a_warning(argv, capsys):
+    # p(p - 1) overflows at p = 1e300, and inf * 0 would fill the dense-output
+    # tables with NaN: the check refuses the solution instead of printing nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["verify", argv[0], "-p", "1e300", "-q", "3", "-d", "13", *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lelab: error: p(p-1) overflows")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tail, message", [
+    (["-d", "2"], "need d >= 3, got d=2.0"),
+    (["-d", "nan"], "p, q, d must be finite"),
+    (["-d", "inf"], "p, q, d must be finite"),
+    (["-d", "13", "--p-max", "inf"], "p, q, d must be finite"),
+])
+def test_invalid_grid_input_exits_2_as_classify_does(tail, message, capsys):
+    flags = {"--p-min": "1.1", "--p-max": "4", "--q-min": "1.1", "--q-max": "4", "-n": "5"}
+    flags.update(zip(tail[::2], tail[1::2]))
+    rc = run(["grid", *(x for item in flags.items() for x in item)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"lelab: error: {message}\n"
+
+
 def test_overflowing_trial_stages_end_the_shot_cleanly(capsys):
     # u(r_start) < 0 at this v0: the series start is refused before any
     # trial stage can overflow, with one line and no traceback

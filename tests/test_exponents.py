@@ -224,6 +224,26 @@ def test_moser_exponent_must_be_finite(a):
         moser_constants(SystemParams(3, 3, 13), a)
 
 
+def test_moser_refuses_a_b_that_overflows():
+    # b = a(p+1)/(q+1) overflows in a*(p+1) though b = a here
+    with pytest.raises(InvalidMoserExponentError, match="overflows"):
+        moser_constants(SystemParams(3, 3, 13), 1e308)
+
+
+@pytest.mark.parametrize("a", [1e200, 1e300, 1.5e154])
+def test_moser_gain_where_a_squared_overflows(a):
+    # a*a overflows, so the gain is taken as sqrt(pq)(2 - 1/a)/a, not 0
+    m = moser_constants(SystemParams(3, 3, 13), a)
+    assert m.b == a
+    assert m.A == m.B == 3.0 * (2.0 - 1.0 / a) / a
+    assert m.A > 0.0 and math.isclose(m.A * a, 6.0)
+
+
+def test_moser_gain_keeps_its_bits_where_a_squared_is_finite():
+    m = moser_constants(SystemParams(5, 2, 13), 1.3e154)
+    assert m.A == math.sqrt(10.0) * (2.0 * 1.3e154 - 1.0) / (1.3e154 * 1.3e154)
+
+
 def test_largest_root_q1_edge():
     # at q = 1 with large p the jl quartic is positive at the origin, so a
     # plain sign bracket from 0 would miss; the cascade must still isolate

@@ -14,7 +14,8 @@ runs the common path of ``largest_root`` for many quartics at once and
 sends every other quartic back to ``largest_root``.  The lockstep roots
 must match the scalar ones bit for bit on regime-map grids, on hypothesis
 triples and on the constructed and random quartics, and each way of
-leaving the common path must be reached.
+leaving the common path must be reached.  Its numpy Cauchy bound and first
+point below it must equal ``_derivative_points``' bit for bit.
 """
 
 import math
@@ -271,6 +272,40 @@ def test_lockstep_matches_cascade_on_constructed_and_random_quartics(monkeypatch
     assert bits == [_bits(_reference_largest_root(c)) for c in coeffs]
 
 
+def _bound_lanes():
+    """CONSTRUCTED, 3000 random monic quartics, quartics with disc = 36 c3^2 -
+    96 c2 exactly 0, and lanes with a non-finite or overflowing coefficient."""
+    rng = random.Random(25)
+    lanes = CONSTRUCTED + [_random_monic(rng) for _ in range(3000)]
+    for _ in range(200):
+        k = rng.randint(-400, 400)
+        lanes.append((rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0), 3.0 * k * k / 512.0, k / 8.0, 1.0))
+    for big in (math.inf, -math.inf, math.nan, 1e200, 1e307, 1e308, -1.7e308):
+        for i in range(4):
+            lanes.append(tuple(big if j == i else 0.5 for j in range(4)) + (1.0,))
+    return lanes
+
+
+def test_lockstep_bounds_match_derivative_points():
+    lanes = _bound_lanes()
+    with np.errstate(all="ignore"):
+        x_hi, below = exponents._lockstep_bounds(np.array(lanes).T)
+    shapes = Counter()
+    for c, hi, first in zip(lanes, x_hi.tolist(), below.tolist()):
+        if not all(math.isfinite(x) for x in c):
+            assert not math.isfinite(hi), c  # the lane goes to largest_root
+            shapes["non-finite"] += 1
+            continue
+        ref_hi, points = exponents._derivative_points(c)
+        assert (hi.hex(), first.hex()) == (ref_hi.hex(), points[1].hex()), c
+        disc = 36.0 * c[3] * c[3] - 96.0 * c[2]
+        shapes["disc > 0" if disc > 0.0 else "disc = 0" if disc == 0.0 else "other disc"] += 1
+        shapes["below = -x_hi"] += first == -hi
+    assert min(shapes[k] for k in ("disc > 0", "disc = 0", "other disc", "non-finite", "below = -x_hi")) >= 10, shapes
+    why = exponents._lockstep_largest_roots(lanes)[1]
+    assert [w == 5 for w in why] == [not all(math.isfinite(x) for x in c) for c in lanes]
+
+
 def test_lockstep_fallbacks_by_reason(monkeypatch):
     rng = random.Random(66)
     coeffs = CONSTRUCTED + [_random_monic(rng) for _ in range(3000)]
@@ -284,7 +319,7 @@ def test_lockstep_fallbacks_by_reason(monkeypatch):
     # which lie in [-x_hi, x_hi], so the scalar scan's bound test never
     # drops it for a genuine bound.  A bound that excludes the lower end of
     # the piece shows that the lockstep path keeps that test too.
-    monkeypatch.setattr(exponents, "_derivative_points", lambda c: (1.0, [1.0, -5.0, -1.0]))
+    monkeypatch.setattr(exponents, "_lockstep_bounds", lambda c: (np.array([1.0]), np.array([-5.0])))
     roots, why = exponents._lockstep_largest_roots([(0.0, 64.0, 0.0, 0.0, 1.0)])  # f' = 4x^3 + 64: x = -2.52
     assert exponents.LOCKSTEP_FALLBACKS[why[0]] == "critical point outside (-x_hi, x_hi)"
 
