@@ -200,6 +200,10 @@ def _trace_bits(d, p_min, p_max, n):
 
 def test_jl_curve_matches_the_per_evaluation_margin_path(monkeypatch):
     rng = np.random.default_rng(25)
+    for _ in range(2000):  # q above p too, as the expansion above the diagonal asks
+        p, q, d = 1.0 + 10.0 * rng.random(), 1.0 + 40.0 * rng.random(), rng.uniform(3.0, 20.0)
+        got = classifier._margin_and_tol(p, q, d)
+        assert [x.hex() for x in got] == [x.hex() for x in _reference_margin_and_tol(p, q, d)], (p, q, d)
     cases = [(13.0, 1e296, 1e297, 2)]  # the expansion above the diagonal overflows
     for _ in range(150):
         d = float(rng.integers(3, 21)) if rng.random() < 0.5 else rng.uniform(3.0, 20.0)

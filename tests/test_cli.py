@@ -239,16 +239,16 @@ def test_fourth_derivatives_past_the_float_range_exit_2_without_a_warning(argv, 
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tail, message", [
-    (["-d", "2"], "need d >= 3, got d=2.0"),
-    (["-d", "nan"], "p, q, d must be finite"),
-    (["-d", "inf"], "p, q, d must be finite"),
-    (["-d", "13", "--p-max", "inf"], "p, q, d must be finite"),
+@pytest.mark.parametrize("flags, message", [
+    ({"-d": "2"}, "need d >= 3, got d=2.0"),
+    ({"-d": "nan"}, "p, q, d must be finite"),
+    ({"-d": "inf"}, "p, q, d must be finite"),
+    ({"--p-max": "inf"}, "p, q, d must be finite"),
+    ({"--p-min": "-inf"}, "p, q, d must be finite"),  # no grid point passes the pair test
 ])
-def test_invalid_grid_input_exits_2_as_classify_does(tail, message, capsys):
-    flags = {"--p-min": "1.1", "--p-max": "4", "--q-min": "1.1", "--q-max": "4", "-n": "5"}
-    flags.update(zip(tail[::2], tail[1::2]))
-    rc = run(["grid", *(x for item in flags.items() for x in item)])
+def test_invalid_grid_input_exits_2_as_classify_does(flags, message, capsys):
+    argv = {"-d": "13", "--p-min": "1.1", "--p-max": "4", "--q-min": "1.1", "--q-max": "4", "-n": "5", **flags}
+    rc = run(["grid", *(f"{flag}={value}" for flag, value in argv.items())])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
