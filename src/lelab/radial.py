@@ -263,7 +263,7 @@ class RadialSolution:
         if not self.has_derivatives:
             raise DerivativesMissingError("solution carries no stored derivatives")
         p, q, d = self.params.p, self.params.q, self.params.d
-        if not p * (p - 1.0) < math.inf:  # and q <= p
+        if not p * (p - 1.0) < math.inf:  # q <= p, so q(q-1) is finite too
             raise InvalidInputError(f"p(p-1) overflows at p={p}: the fourth derivatives are not representable")
         r, u, v, du, dv = self.r, self.u, self.v, self.du, self.dv
         c = (d - 1.0) / r
