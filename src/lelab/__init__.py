@@ -24,7 +24,6 @@ from .classifier import (
 )
 from .errors import (
     BadBracketError,
-    DerivativesMissingError,
     EmptyTraceError,
     InsufficientDecayWindowError,
     InsufficientWindowError,

@@ -62,9 +62,12 @@ def hyperbola_gap(params: SystemParams) -> float:
     return 1.0 / (params.p + 1.0) + 1.0 / (params.q + 1.0) - (1.0 - 2.0 / params.d)
 
 
-def criticality(params: SystemParams, band: float = HYPERBOLA_BAND) -> Criticality:
-    gap = hyperbola_gap(params)
-    if abs(gap) <= band:
+def criticality(params: SystemParams) -> Criticality:
+    return _criticality_of(hyperbola_gap(params))
+
+
+def _criticality_of(gap: float) -> Criticality:
+    if abs(gap) <= HYPERBOLA_BAND:
         return Criticality.CRITICAL_HYPERBOLA
     return Criticality.SUPERCRITICAL if gap < 0.0 else Criticality.SUBCRITICAL
 
@@ -110,8 +113,8 @@ def classify(params: SystemParams) -> RegimeReport:
 
 def _report(params: SystemParams, consts: DerivedConstants, x0_plain: float, x0_jl: float) -> RegimeReport:
     margin = _margin(params.p, params.q, consts.H, consts.lam, consts.mu)
-    crit = criticality(params)
     gap = hyperbola_gap(params)
+    crit = _criticality_of(gap)
     on_or_above = margin >= 0.0
 
     notes: list[str] = []

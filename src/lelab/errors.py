@@ -43,7 +43,3 @@ class InsufficientDecayWindowError(LelabError, ValueError):
 
 class WindowNotCoveredError(LelabError, ValueError):
     """Requested rescaling window falls outside the sampled grid."""
-
-
-class DerivativesMissingError(LelabError, ValueError):
-    """Operation needs stored radial derivatives, which are absent."""

@@ -9,17 +9,20 @@ is integrated from r_start = 1e-6 with a second-order series start forced
 by regularity at the origin, using Prince & Dormand's adaptive 8(5,3)
 pair, DOP853, whose 12 stages are written out on plain floats.  Dense
 output on each accepted step is a two-point Hermite polynomial of degree
-7; the ODE supplies the higher derivatives at the step endpoints, and the
-radial derivatives carry their own Hermite data so that they are
-reconstructed at derivative scale.  Its interpolation error is bounded on
-every step: the degree-9 Hermite correction, from the next derivative at
-both ends, is held to the tolerance of the step's error control, and a
-step it exceeds is shortened.  The polynomial is held by its 8 Bernstein
-control points, which come straight from the endpoint data; one function
-makes them for the hull test, the event search and the tables, and one
-evaluator sums the control points against the Bernstein basis.  A
-solution builds its control-point tables once, on first use; dense
-evaluation at any set of radii is then a row lookup and one basis pass.
+7; the ODE supplies the second through fourth derivatives at the step
+endpoints, and the radial derivatives carry their own Hermite data so that
+they are reconstructed at derivative scale.  Its interpolation error is
+bounded on every step: the degree-9 Hermite correction, from the next
+derivative at both ends, is held to the tolerance of the step's error
+control, and a step it exceeds is shortened.  Each row keeps the
+derivatives that this bound took, and a solution's tables are built from
+them, so evaluate interpolates the data that was bounded.  The polynomial
+is held by its 8 Bernstein control points, which come straight from the
+endpoint data; one function makes them for the hull test, the event search
+and the tables, and one evaluator sums the control points against the
+Bernstein basis.  A solution builds its control-point tables once, on
+first use; dense evaluation at any set of radii is then a row lookup and
+one basis pass.
 Events (a component hitting zero, blowup) are found on the dense output of
 each accepted step by Bernstein subdivision: the first interval whose
 control points do not clear the level is split down to 1e-12 r.  Level 0,
@@ -43,7 +46,6 @@ import numpy as np
 from .classifier import hyperbola_gap
 from .errors import (
     BadBracketError,
-    DerivativesMissingError,
     InsufficientWindowError,
     InvalidInputError,
     UndefinedSingularError,
@@ -230,8 +232,9 @@ class RadialSolution:
     """Sampled radial trajectory with stored derivatives.
 
     One row per accepted integrator step (plus the series start and, for
-    event-terminated runs, the interpolated event point).  Immutable; the
-    arrays are read-only views.
+    event-terminated runs, the interpolated event point).  higher holds
+    u'', v'', u''', v''', u'''' and v'''' at each row (N x 6), the rest of
+    the rows' Hermite data.  Immutable; the arrays are read-only views.
     """
 
     params: SystemParams
@@ -240,63 +243,31 @@ class RadialSolution:
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    du: Optional[np.ndarray]
-    dv: Optional[np.ndarray]
+    du: np.ndarray
+    dv: np.ndarray
+    higher: np.ndarray
     status: RadialStatus
     event_radius: Optional[float]
     rel_tol: float
 
     def __post_init__(self):
-        for name in ("r", "u", "v", "du", "dv"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
+        for name in ("r", "u", "v", "du", "dv", "higher"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def has_derivatives(self) -> bool:
-        return self.du is not None and self.dv is not None
-
-    def _node_higher_derivatives(self):
-        if not self.has_derivatives:
-            raise DerivativesMissingError("solution carries no stored derivatives")
-        p, q, d = self.params.p, self.params.q, self.params.d
-        if not p * (p - 1.0) < math.inf:  # q <= p, so q(q-1) is finite too
-            raise InvalidInputError(f"p(p-1) overflows at p={p}: the fourth derivatives are not representable")
-        r, u, v, du, dv = self.r, self.u, self.v, self.du, self.dv
-        c = (d - 1.0) / r
-        ddu = -c * du - np.sign(v) * np.abs(v) ** p
-        ddv = -c * dv - np.sign(u) * np.abs(u) ** q
-        dddu = c / r * du - c * ddu - p * np.abs(v) ** (p - 1.0) * dv
-        dddv = c / r * dv - c * ddv - q * np.abs(u) ** (q - 1.0) * du
-        # |w|^(p-2) blows up at a zero with exponent below 2; those rows only
-        # occur at located events, where quartic data is never consumed
-        vp2 = np.where(v != 0.0, np.sign(v) * np.abs(v) ** (p - 2.0), 0.0)
-        uq2 = np.where(u != 0.0, np.sign(u) * np.abs(u) ** (q - 2.0), 0.0)
-        d4u = (
-            -2.0 * c / r**2 * du + 2.0 * c / r * ddu - c * dddu
-            - p * (p - 1.0) * vp2 * dv**2 - p * np.abs(v) ** (p - 1.0) * ddv
-        )
-        d4v = (
-            -2.0 * c / r**2 * dv + 2.0 * c / r * ddv - c * dddv
-            - q * (q - 1.0) * uq2 * du**2 - q * np.abs(u) ** (q - 1.0) * ddu
-        )
-        return ddu, ddv, dddu, dddv, d4u, d4v
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (N-1)x8 control-point tables of u, v, u', v', one row per step.
 
-        Built on first use and cached on the instance.  u' and v' carry their
-        own Hermite data (u' through the fourth derivative of u, supplied by
-        the ODE), so reconstructing them does not difference the much larger
-        values; this keeps their relative accuracy at derivative scale even
-        on the tiny near-origin steps.
+        Built on first use from the rows' stored derivatives and cached on
+        the instance.  u' and v' carry their own Hermite data (u' through
+        the fourth derivative of u), so reconstructing them does not
+        difference the much larger values; this keeps their relative
+        accuracy at derivative scale even on the tiny near-origin steps.
         """
         tables = getattr(self, "_table_cache", None)
         if tables is None:
-            ddu, ddv, dddu, dddv, d4u, d4v = self._node_higher_derivatives()
+            ddu, ddv, dddu, dddv, d4u, d4v = self.higher.T
             # the data are scaled as the hull test scales one step (libm's
             # scalar pow for h**3), so a row holds that test's numbers
             powers = np.array([(1.0, h, h * h, h**3) for h in np.diff(self.r).tolist()]).T
@@ -332,10 +303,11 @@ class RadialSolution:
         """Dense evaluation of (u, v, u', v') at radii inside the grid.
 
         Between rows i and i+1 each of u, v, u', v' is the degree-7 Hermite
-        polynomial of the two rows' data.  integrate held the estimate of
-        its interpolation error (the degree-9 Hermite correction, exact
-        when w is a polynomial of degree 9) to at most 1e-300 + rel_tol
-        max(|w_i|, |w_i+1|) for each component w.  Between the rows the
+        polynomial of the two rows' stored data, the data for which
+        integrate held the estimate of its interpolation error (the
+        degree-9 Hermite correction, exact when w is a polynomial of degree
+        9) to at most 1e-300 + rel_tol max(|w_i|, |w_i+1|) for each
+        component w.  Between the rows the
         dense output thus adds about that to the error that the
         integration carries at the rows.  On the step into a located zero
         the bound is that of the trial step [r_i, r_i + h] that crossed
@@ -393,6 +365,8 @@ def _dense_derivs(r, y, k, ddd, p, q, dm1):
 
     The ODE differentiated twice more than in _third_derivs, whose result
     ddd is; the dense output bound takes them where u and v are nonzero.
+    At an exact zero of v the terms in |v|^(p-2) and |v|^(p-3) read 0, and
+    likewise for u: the fourth derivatives of an event row stay finite.
     """
     u, v, du, dv = y
     ddu, ddv = k[2:]
@@ -401,10 +375,10 @@ def _dense_derivs(r, y, k, ddd, p, q, dm1):
     cr = c / r
     # fv, fv2, fv3: the first three derivatives of sign(v)|v|^p with respect
     # to v, on either side of zero
-    fv2 = (p - 1.0) * fv / v
-    fv3 = (p - 2.0) * fv2 / v
-    fu2 = (q - 1.0) * fu / u
-    fu3 = (q - 2.0) * fu2 / u
+    fv2 = (p - 1.0) * fv / v if v else 0.0
+    fv3 = (p - 2.0) * fv2 / v if v else 0.0
+    fu2 = (q - 1.0) * fu / u if u else 0.0
+    fu3 = (q - 2.0) * fu2 / u if u else 0.0
     d4u = -2.0 * cr / r * du + 2.0 * cr * ddu - c * dddu - fv2 * dv * dv - fv * ddv
     d4v = -2.0 * cr / r * dv + 2.0 * cr * ddv - c * dddv - fu2 * du * du - fu * ddu
     d5u = (
@@ -416,6 +390,14 @@ def _dense_derivs(r, y, k, ddd, p, q, dm1):
         - fu3 * du * du * du - 3.0 * fu2 * du * ddu - fu * dddu
     )
     return d4u, d4v, d5u, d5v
+
+
+def _node(r, y, p, q, dm1):
+    """(y, k, ddd, d45) at a point the step loop did not reach by a step:
+    the ODE's u', v', u'', v'', then _third_derivs and _dense_derivs."""
+    k = _rhs(r, *y, p, q, dm1)
+    ddd = _third_derivs(r, *k, y[0], y[1], p, q, dm1)
+    return y, k, ddd, _dense_derivs(r, y, k, ddd, p, q, dm1)
 
 
 def _dense_error(h, rel_tol, start, end):
@@ -795,7 +777,7 @@ def integrate(
             -vp * r / d,
             -uq * r / d,
         )
-        k1 = _rhs(r, *y, p, q, dm1)
+        node = _node(r, y, p, q, dm1)
     except OverflowError:
         raise InvalidInputError(f"the series start overflows, u0={u0}, v0={v0}") from None
     if not (y[0] > 0.0 and y[1] > 0.0):
@@ -803,10 +785,12 @@ def integrate(
             f"the series start is not positive: u(r_start)={y[0]}, v(r_start)={y[1]} "
             f"for u0={u0}, v0={v0}"
         )
+    # each row keeps (y, k, ddd, d45) of its node, the data that the dense
+    # output bound and the event search took there
     rows_r = [r]
-    rows = [y]
+    rows = [node]
+    _, k1, ddd0, d45_0 = node
     h = 0.1 * r
-    ddd0 = d45_0 = None
     status = RadialStatus.COMPLETED
     event_radius: Optional[float] = None
 
@@ -822,20 +806,13 @@ def integrate(
             h *= max(0.2, 0.9 * err**-0.125)
             continue
 
-        # third derivatives at the step start are those of the previous end;
-        # the first ones wait for the first accepted step, the first that
-        # needs them, so an overflow there raises no earlier
-        if ddd0 is None:
-            ddd0 = _third_derivs(r, *k1, y[0], y[1], p, q, dm1)
+        # the derivatives at the step start are those of the previous end
         ddd1 = _third_derivs(r + h, *k13, y_new[0], y_new[1], p, q, dm1)
+        d45_1 = _dense_derivs(r + h, y_new, k13, ddd1, p, q, dm1)
         # the dense output bound, wherever u and v are nonzero at the step
         # end (the start is positive): also on a step past a zero, so that
         # the event search runs on a bounded polynomial
-        d45_1 = None
         if y_new[0] != 0.0 and y_new[1] != 0.0:
-            if d45_0 is None:
-                d45_0 = _dense_derivs(r, y, k1, ddd0, p, q, dm1)
-            d45_1 = _dense_derivs(r + h, y_new, k13, ddd1, p, q, dm1)
             dense = _dense_error(h, rel_tol, (y, k1, ddd0, d45_0), (y_new, k13, ddd1, d45_1))
             if dense > 1.0:
                 h *= max(0.2, 0.9 * dense**-0.125)
@@ -847,13 +824,13 @@ def integrate(
             if event is not None:
                 r_event, status, y_event = event
                 rows_r.append(r_event)
-                rows.append(y_event)
+                rows.append(_node(r_event, y_event, p, q, dm1))
                 event_radius = r_event
                 break
 
         r = r + h
         rows_r.append(r)
-        rows.append(y_new)
+        rows.append((y_new, k13, ddd1, d45_1))
         y = y_new
         k1 = k13
         ddd0 = ddd1
@@ -861,7 +838,7 @@ def integrate(
         factor = 5.0 if err == 0.0 else 0.9 * err**-0.125
         h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # min(5, max(0.2, .))
 
-    arr = np.array(rows, dtype=float)
+    arr = np.array([(*y, *k[2:], *ddd[:2], *d45[:2]) for y, k, ddd, d45 in rows])
     return RadialSolution(
         params=params,
         u0=u0,
@@ -871,6 +848,7 @@ def integrate(
         v=arr[:, 1],
         du=arr[:, 2],
         dv=arr[:, 3],
+        higher=arr[:, 4:],
         status=status,
         event_radius=event_radius,
         rel_tol=rel_tol,
@@ -1051,23 +1029,34 @@ def blow_down(
         i_hi = min(int(np.searchsorted(sol.r, hi, side="left")) + 1, len(sol.r))
         mask = np.zeros(len(sol.r), dtype=bool)
         mask[i_lo:i_hi] = True
-    ra = R**consts.alpha
-    rb = R**consts.beta
+    try:
+        ra = R**consts.alpha
+        rb = R**consts.beta
+        # column k of higher holds derivatives of order 2 + k // 2
+        factors = [w * R**n for n in (2, 3, 4) for w in (ra, rb)]
+    except OverflowError:
+        raise InvalidInputError(f"blow_down scale factors overflow at R={R!r}") from None
     status = sol.status if mask[-1] else RadialStatus.COMPLETED
     event = sol.event_radius / R if (mask[-1] and sol.event_radius is not None) else None
-    u = ra * sol.u[mask]
-    v = rb * sol.v[mask]
-    du = ra * R * sol.du[mask] if sol.du is not None else None
-    dv = rb * R * sol.dv[mask] if sol.dv is not None else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = sol.r[mask] / R
+        u = ra * sol.u[mask]
+        v = rb * sol.v[mask]
+        du = ra * R * sol.du[mask]
+        dv = rb * R * sol.dv[mask]
+        higher = sol.higher[mask] * factors
+    if not all(np.isfinite(a).all() for a in (r, u, v, du, dv, higher)):
+        raise InvalidInputError(f"blow_down by R={R!r} leaves the float range")
     return RadialSolution(
         params=sol.params,
         u0=float(u[0]),
         v0=float(v[0]),
-        r=sol.r[mask] / R,
+        r=r,
         u=u,
         v=v,
         du=du,
         dv=dv,
+        higher=higher,
         status=status,
         event_radius=event,
         rel_tol=sol.rel_tol,
@@ -1088,10 +1077,11 @@ def singular_profile(params: SystemParams, r) -> RadialSolution:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or len(r) < 2 or not np.all(np.diff(r) > 0) or r[0] <= 0.0:
         raise InvalidInputError("grid must be increasing, positive, length >= 2")
-    u = c.a_coef * r**-c.alpha
-    v = c.b_coef * r**-c.beta
-    du = -c.alpha * c.a_coef * r ** (-c.alpha - 1.0)
-    dv = -c.beta * c.b_coef * r ** (-c.beta - 1.0)
+    # the k-th derivative of A r^-e is A (-e)(-e-1)...(-e-k+1) r^(-e-k)
+    u, v, du, dv, *higher = (
+        amp * math.prod(-e - j for j in range(k)) * r ** (-e - k)
+        for k in range(5) for amp, e in ((c.a_coef, c.alpha), (c.b_coef, c.beta))
+    )
     return RadialSolution(
         params=params,
         u0=float(u[0]),
@@ -1101,6 +1091,7 @@ def singular_profile(params: SystemParams, r) -> RadialSolution:
         v=v,
         du=du,
         dv=dv,
+        higher=np.stack(higher, axis=1),
         status=RadialStatus.COMPLETED,
         event_radius=None,
         rel_tol=0.0,

@@ -48,7 +48,7 @@ EXACT_TOL = 1e-15
 
 def _node_data(sol):
     """Hermite node data (w and its first three derivatives) of u, v, u', v'."""
-    ddu, ddv, dddu, dddv, d4u, d4v = sol._node_higher_derivatives()
+    ddu, ddv, dddu, dddv, d4u, d4v = sol.higher.T
     return (
         (sol.u, sol.du, ddu, dddu),
         (sol.v, sol.dv, ddv, dddv),
@@ -173,6 +173,43 @@ def test_evaluate_matches_reference_loop(solution):
     assert max(_exact_errors(solution, radii)) <= EXACT_TOL
 
 
+@pytest.mark.parametrize("triple, r_max", [((3, 3, 13), 1000.0), ((2.5, 1.5, 7), 50.0)])
+def test_tables_interpolate_the_data_that_integrate_bounded(monkeypatch, triple, r_max):
+    # the node data (y, k, ddd, d45) that integrate hands the dense output
+    # bound, by the node's (u, v, u', v'); a passing call's step is accepted
+    # or ends in the event row
+    bounded = {}
+    dense_error = radial._dense_error
+
+    def recorded(h, rel_tol, start, end):
+        got = dense_error(h, rel_tol, start, end)
+        if got <= 1.0:
+            bounded[start[0]], bounded[end[0]] = start, end
+        return got
+
+    monkeypatch.setattr(radial, "_dense_error", recorded)
+    sol = integrate(SystemParams(*triple), 1.0, r_max)
+    tables = sol._tables()
+    checked = 0
+    for i in range(len(sol.r) - 1):
+        ends = [bounded.get((sol.u[j], sol.v[j], sol.du[j], sol.dv[j])) for j in (i, i + 1)]
+        if None in ends:
+            continue
+        # per table (u, v, u', v'), w and its first three derivatives at each end
+        data = [
+            ((y[0], k[0], k[2], ddd[0]), (y[1], k[1], k[3], ddd[1]),
+             (y[2], k[2], ddd[0], d45[0]), (y[3], k[3], ddd[1], d45[1]))
+            for y, k, ddd, d45 in ends
+        ]
+        h = float(sol.r[i + 1] - sol.r[i])
+        powers = (1.0, h, h * h, h**3)  # as the tables scale a step
+        for t, table in enumerate(tables):
+            want = _control_points(*(pw * x for node in data for pw, x in zip(powers, node[t])))
+            assert [float(b).hex() for b in table[i]] == [b.hex() for b in want], (i, t)
+        checked += 1
+    assert checked == len(sol.r) - 1 - (sol.status is not RadialStatus.COMPLETED)
+
+
 def test_dense_output_error_against_the_exact_interpolant(slow_decay_3313):
     # 120 random steps, 19 tau each, all four tables; the Bernstein tables
     # and evaluator stay an order below the old monomial path's 6.2e-15
@@ -259,8 +296,8 @@ def test_moment_integral_clamps_a_last_step_that_dips_below_zero():
     sol = integrate(SystemParams(3, 3, 3), 1.0, 50.0, rel_tol=1e-10)
     assert sol.status is RadialStatus.V_HIT_ZERO
     # v falls from v[-2] to its located zero on the last step; the interpolant
-    # of v - eps is that of v shifted by eps, since the higher derivatives of
-    # v at the nodes do not involve v itself
+    # of v - eps is that of v shifted by eps, since the copy keeps the rows'
+    # stored derivatives
     dipped = dataclasses.replace(sol, v=sol.v - 0.75 * sol.v[-2])
     assert np.all(dipped.v[:-1] > 0.0)
     assert dipped.evaluate(0.5 * (sol.r[-2] + sol.r[-1]))[1][0] < 0.0

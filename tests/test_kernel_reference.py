@@ -26,7 +26,7 @@ import struct
 
 import pytest
 
-from lelab import SystemParams, integrate
+from lelab import RadialStatus, SystemParams, integrate
 from lelab import radial
 from lelab.radial import _ATOL_FLOOR, _dop853_step, _rhs, _third_derivs
 
@@ -287,15 +287,14 @@ def test_third_derivs_match_reference_on_trajectory_steps(
     monkeypatch.setattr(radial, "_third_derivs", checked)
     monkeypatch.setattr(radial, "_dense_error", counted_dense_error)
     sol = integrate(SystemParams(*triple), v0, r_max, rel_tol)
-    # one call for the start of the first step that passes the error test,
-    # then one for the end of each such step: the accepted rows, the step
-    # that ends in the event row, and each step that the dense output bound
-    # shortened.  The start's values are carried over from the previous
-    # end, never formed again.
-    if len(sol.r) == 1 and not shortened:
-        assert calls == []
-    else:
-        assert len(calls) == len(sol.r) + sum(shortened)
+    # one call for each row that integrate evaluates the ODE at, the start
+    # row and an event row, then one for the end of each step that passes
+    # the error test: the accepted rows, the step that ends in the event
+    # row, and each step that the dense output bound shortened.  A step
+    # start's values are carried over from the previous end, never formed
+    # again.
+    event = sol.status in (RadialStatus.U_HIT_ZERO, RadialStatus.V_HIT_ZERO, RadialStatus.BLOWUP)
+    assert len(calls) == len(sol.r) + sum(shortened) + event
 
 
 def test_third_derivs_match_reference_on_random_draws():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,11 +290,30 @@ def test_blow_down_identity_and_scale_invariance():
     prof = singular_profile(params, np.geomspace(0.01, 100.0, 200))
     ident = blow_down(prof, 1.0)
     assert np.allclose(ident.u, prof.u, rtol=0, atol=0)
+    assert np.array_equal(ident.higher, prof.higher)
     for R in (0.5, 7.0):
         scaled = blow_down(prof, R)
         expect = singular_profile(params, prof.r / R)
         assert np.max(np.abs(scaled.u / expect.u - 1.0)) < 1e-12
         assert np.max(np.abs(scaled.du / expect.du - 1.0)) < 1e-12
+        assert np.max(np.abs(scaled.higher / expect.higher - 1.0)) < 1e-12
+
+
+def test_singular_profile_derivatives_solve_the_system_and_interpolate():
+    params = SystemParams(3, 2, 13)
+    c = derive_constants(params)
+    prof = singular_profile(params, np.geomspace(0.01, 100.0, 200))
+    r, (ddu, ddv) = prof.r, prof.higher[:, :2].T
+    assert np.max(np.abs(ddu / (-12.0 / r * prof.du - prof.v**3) - 1.0)) < 1e-13
+    assert np.max(np.abs(ddv / (-12.0 / r * prof.dv - prof.u**2) - 1.0)) < 1e-13
+    # the dense output takes every stored derivative: midway between rows
+    # it matches the power laws to the interpolation error, about 1e-12
+    mid = np.sqrt(r[1:] * r[:-1])
+    u, v, du, dv = prof.evaluate(mid)
+    for got, amp, e in ((u, c.a_coef, c.alpha), (v, c.b_coef, c.beta)):
+        assert np.max(np.abs(got / (amp * mid**-e) - 1.0)) < 1e-11
+    for got, amp, e in ((du, c.a_coef, c.alpha), (dv, c.b_coef, c.beta)):
+        assert np.max(np.abs(got / (-e * amp * mid ** (-e - 1.0)) - 1.0)) < 1e-11
 
 
 def test_blow_down_converges_to_singular_profile(slow_decay_3313):
@@ -315,6 +335,28 @@ def test_blow_down_needs_a_positive_finite_scale(slow_decay_3313, R):
     # an infinite scale would give arrays of inf and a grid of zeros
     with pytest.raises(InvalidInputError):
         blow_down(slow_decay_3313, R)
+
+
+@pytest.mark.parametrize("triple, R", [((3, 2, 13), 1e300), ((3, 3, 13), 1e80), ((3, 3, 13), 1e-320)])
+def test_blow_down_refuses_a_scale_that_leaves_the_float_range(triple, R):
+    # R^alpha overflows at 1e300 for (3,2,13) (alpha = 1.6); R^(alpha+4),
+    # the factor of the fourth derivatives, at 1e80; r / R at 1e-320
+    sol = integrate(SystemParams(*triple), 1.0, 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            blow_down(sol, R)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_row_derivatives_at_an_exact_zero_of_v(p):
+    # |v|^(p-2) is infinite at v = 0 for p < 2; the terms that carry it, and
+    # |v|^(p-3), read 0 there, so the fourth derivative of u is the rest
+    r, dm1 = 2.0, 2.0
+    _, (du, _, ddu, _), (dddu, _, fv, _), d45 = radial._node(r, (0.5, 0.0, -0.25, -0.5), p, 1.2, dm1)
+    c = dm1 / r
+    assert fv == 0.0 and all(math.isfinite(x) for x in d45)
+    assert d45[0] == -2.0 * c / r / r * du + 2.0 * c / r * ddu - c * dddu
 
 
 def test_singular_profile_requires_amplitudes():

@@ -109,6 +109,7 @@ def test_comparison_detects_violation():
         v=np.full_like(r, 2.0),
         du=np.zeros_like(r),
         dv=np.zeros_like(r),
+        higher=np.zeros((len(r), 6)),
         status=RadialStatus.COMPLETED,
         event_radius=None,
         rel_tol=0.0,
@@ -123,7 +124,7 @@ def test_pohozaev_zero_solution():
     zero = RadialSolution(
         params=params, u0=0.0, v0=0.0, r=r,
         u=np.zeros_like(r), v=np.zeros_like(r),
-        du=np.zeros_like(r), dv=np.zeros_like(r),
+        du=np.zeros_like(r), dv=np.zeros_like(r), higher=np.zeros((len(r), 6)),
         status=RadialStatus.COMPLETED, event_radius=None, rel_tol=0.0,
     )
     lhs, rhs, _ = pohozaev_sides(zero, 2.0, PohozaevWeights.from_a1(params, 1.0))
@@ -317,21 +318,6 @@ def test_spherical_sign_matches_jl_margin_random():
         rep = spherical_mode_margins(params, 4)
         assert (rep.lhs >= 0.0) == (m >= 0.0)
         checked += 1
-
-
-def test_pohozaev_requires_derivatives():
-    from lelab import DerivativesMissingError
-
-    params = SystemParams(3, 3, 13)
-    r = np.linspace(0.5, 3.0, 20)
-    sol = RadialSolution(
-        params=params, u0=1.0, v0=1.0, r=r,
-        u=np.full_like(r, 0.5), v=np.full_like(r, 0.5),
-        du=None, dv=None,
-        status=RadialStatus.COMPLETED, event_radius=None, rel_tol=0.0,
-    )
-    with pytest.raises(DerivativesMissingError):
-        check_pohozaev(sol, 2.0, PohozaevWeights.from_a1(params, 1.0))
 
 
 def test_report_serialization(slow_decay_3313):
