@@ -4,9 +4,11 @@ Each case records the status, the event radius, the row count and the
 last row (u, v, u', v') as hex floats.  Event scanning does not feed back
 into step selection, so any change to how events are sampled, bracketed
 or bisected that is meant to be behaviour-preserving must leave all of
-these bits alone.  Two longer runs are pinned on every row: a sha256 of
+these bits alone.  Four longer runs are pinned on every row: a sha256 of
 all (r, u, v, u', v') as little-endian float64 covers the step kernel and
-step selection as well as the events.
+step selection as well as the events, and a second sha256 covers the
+rows' higher derivatives (``higher``), from which the dense output is
+built.
 
 After an intended change, print the current pins with
 ``PYTHONPATH=src python tests/test_event_pins.py`` and copy them in.
@@ -82,6 +84,10 @@ def _trajectory_sha256(sol):
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
+def _higher_sha256(sol):
+    return hashlib.sha256(np.ascontiguousarray(sol.higher, dtype="<f8").tobytes()).hexdigest()
+
+
 def _slow_decay_run():
     return integrate(SystemParams(3, 3, 13), 1.0, 1000.0, 1e-11)
 
@@ -94,12 +100,19 @@ def _asymmetric_ground_state_run():
     return shoot_ground_state(SystemParams(11, 3, 3), (0.8, 1.5), r_max=150.0, rel_tol=1e-10)
 
 
+def _low_exponent_ground_state_run():
+    return shoot_ground_state(SystemParams(7 / 3, 7 / 3, 5), (0.6, 1.7), r_max=150.0, rel_tol=1e-10)
+
+
 def test_whole_trajectory_pin_integrate():
     sol = _slow_decay_run()
     assert sol.status is RadialStatus.COMPLETED
     assert len(sol.r) == 349
     assert _trajectory_sha256(sol) == (
         "1b9228b83e96eafbf483d68495329215e422e5a5376cf64eb7ed45b5ad86c350"
+    )
+    assert _higher_sha256(sol) == (
+        "eb3220c1d65e33ef2c18e8eaa2c1321731027e30be7a80e774f3fc841bb8aacd"
     )
 
 
@@ -110,6 +123,9 @@ def test_whole_trajectory_pin_ground_state():
     assert len(sol.r) == 122
     assert _trajectory_sha256(sol) == (
         "266dd367e4e54e79df37ee34956227d931f8cae28faca94f417a565b5c1e6ea1"
+    )
+    assert _higher_sha256(sol) == (
+        "87fd94f31bd8154411959aa95092fc489275930708210628e9e8e05af6a86859"
     )
 
 
@@ -124,6 +140,25 @@ def test_whole_trajectory_pin_asymmetric_ground_state():
     assert _trajectory_sha256(sol) == (
         "c3bfe851d157840b7108340329ebc26a202e5ffee7c9b91f0a2374ac804c7b8b"
     )
+    assert _higher_sha256(sol) == (
+        "e78186c71533fe0a23ac29bb1e3fbc50401fa8e225d1f704c24693a1390acae6"
+    )
+
+
+def test_whole_trajectory_pin_low_exponent_ground_state():
+    # p = q = 7/3 < 3: the fifth derivatives in the dense output bound grow
+    # without bound near each event, so the shots take the most shortened
+    # steps of the benchmark's ground states
+    v0, sol = _low_exponent_ground_state_run()
+    assert v0.hex() == "0x1.ffffffffffbffp-1"
+    assert sol.status is RadialStatus.COMPLETED
+    assert len(sol.r) == 129
+    assert _trajectory_sha256(sol) == (
+        "698dadb51372019bd4e92bc715d8022aeeaf4eb22bdc62471fe68939f0750fd8"
+    )
+    assert _higher_sha256(sol) == (
+        "777373904ecc55fc5109cb59f84672eed2f35f4fae90ab1b26ecb97615fab199"
+    )
 
 
 if __name__ == "__main__":
@@ -134,8 +169,9 @@ if __name__ == "__main__":
         last = tuple(float(w[-1]).hex() for w in (sol.u, sol.v, sol.du, sol.dv))
         print(f"{case.id}: {sol.status}, {event!r}, {len(sol.r)},\n    {last}")
     for name, run in (("integrate", _slow_decay_run), ("ground_state", _ground_state_run),
-                      ("asymmetric_ground_state", _asymmetric_ground_state_run)):
+                      ("asymmetric_ground_state", _asymmetric_ground_state_run),
+                      ("low_exponent_ground_state", _low_exponent_ground_state_run)):
         result = run()
         v0, sol = (None, result) if name == "integrate" else result
         print(f"whole_trajectory_pin_{name}: {sol.status}, v0 {None if v0 is None else v0.hex()}, "
-              f"{len(sol.r)} rows, sha256 {_trajectory_sha256(sol)}")
+              f"{len(sol.r)} rows, sha256 {_trajectory_sha256(sol)}, higher {_higher_sha256(sol)}")
