@@ -74,6 +74,8 @@ BLOWUP_THRESHOLD = 1e8
 STEP_FLOOR = 1e-14
 #: events are localized to a radius interval of width 1e-12 * r
 EVENT_RTOL = 1e-12
+#: integrate raises InvalidInputError on a run that needs more rows than this
+MAX_ROWS = 100_000
 _ATOL_FLOOR = 1e-300
 
 # Prince & Dormand's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, Solving
@@ -348,33 +350,23 @@ def _rhs(r, u, v, du, dv, p, q, dm1):
     return (du, dv, -c * du - _signed_pow(v, p), -c * dv - _signed_pow(u, q))
 
 
-def _third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
-    """Third derivatives of u and v, then fv = p |v|^(p-1) and fu = q |u|^(q-1).
+def _row(r, u, v, du, dv, ddu, ddv, p, q, dm1):
+    """The row of a node: u, v and their derivatives through the fifth.
 
-    fv and fu, the slopes of sign(w)|w|^p and sign(u)|u|^q, go on to
-    _dense_derivs, so a step end raises each power once.
+    (u, v, u', v', u'', v'', u''', v''', u'''', v'''', u^(5), v^(5)), the
+    third to fifth from the ODE differentiated once to three times more.
+    Each power is raised once.  At an exact zero of v the terms in
+    |v|^(p-2) and |v|^(p-3) read 0, and likewise for u: the fourth
+    derivatives of an event row stay finite.
     """
-    c = dm1 / r
-    fv = p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0))
-    fu = q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0))
-    return c / r * du - c * ddu - fv * dv, c / r * dv - c * ddv - fu * du, fv, fu
-
-
-def _dense_derivs(r, y, k, ddd, p, q, dm1):
-    """Fourth and fifth derivatives (d4u, d4v, d5u, d5v) of the ODE at (r, y).
-
-    The ODE differentiated twice more than in _third_derivs, whose result
-    ddd is; the dense output bound takes them where u and v are nonzero.
-    At an exact zero of v the terms in |v|^(p-2) and |v|^(p-3) read 0, and
-    likewise for u: the fourth derivatives of an event row stay finite.
-    """
-    u, v, du, dv = y
-    ddu, ddv = k[2:]
-    dddu, dddv, fv, fu = ddd
     c = dm1 / r
     cr = c / r
     # fv, fv2, fv3: the first three derivatives of sign(v)|v|^p with respect
     # to v, on either side of zero
+    fv = p * (v ** (p - 1.0) if v > 0.0 else abs(v) ** (p - 1.0))
+    fu = q * (u ** (q - 1.0) if u > 0.0 else abs(u) ** (q - 1.0))
+    dddu = cr * du - c * ddu - fv * dv
+    dddv = cr * dv - c * ddv - fu * du
     fv2 = (p - 1.0) * fv / v if v else 0.0
     fv3 = (p - 2.0) * fv2 / v if v else 0.0
     fu2 = (q - 1.0) * fu / u if u else 0.0
@@ -389,34 +381,31 @@ def _dense_derivs(r, y, k, ddd, p, q, dm1):
         6.0 * cr / (r * r) * dv - 6.0 * cr / r * ddv + 3.0 * cr * dddv - c * d4v
         - fu3 * du * du * du - 3.0 * fu2 * du * ddu - fu * dddu
     )
-    return d4u, d4v, d5u, d5v
+    return u, v, du, dv, ddu, ddv, dddu, dddv, d4u, d4v, d5u, d5v
 
 
 def _node(r, y, p, q, dm1):
-    """(y, k, ddd, d45) at a point the step loop did not reach by a step:
-    the ODE's u', v', u'', v'', then _third_derivs and _dense_derivs."""
-    k = _rhs(r, *y, p, q, dm1)
-    ddd = _third_derivs(r, *k, y[0], y[1], p, q, dm1)
-    return y, k, ddd, _dense_derivs(r, y, k, ddd, p, q, dm1)
+    """The row at a point y = (u, v, u', v') that the step loop did not
+    reach by a step (the start and event rows), u'' and v'' from _rhs."""
+    return _row(r, y[0], y[1], *_rhs(r, *y, p, q, dm1), p, q, dm1)
 
 
 def _dense_error(h, rel_tol, start, end):
     """Estimated error of a step's dense output, in units of the error control.
 
-    start and end hold (y, k, ddd, d45) at the step's ends: u, v, u', v'
-    and their derivatives through the fifth.  Each table (u, v, u', v')
-    interpolates a component w and its first three derivatives by the
-    degree-7 Hermite polynomial P7.  With the fourth derivative of w at
-    both ends too, the degree-9 interpolant is P7 + tau^4 (1-tau)^4
-    (a (1-tau) + b tau), where 24 a and 24 b are h^4 w'''' less P7''''
-    at tau = 0 and 1; the correction is at most max(|a|, |b|) / 256.
-    With m = 24 (a + b) and n = 24 (a - b), written out in the sums s_k
-    and differences e_k of h^k w^(k) at the two ends, that is
-    (|m| + |n|) / 12288.  Returns the largest correction over the four
-    tables, each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|).
+    start and end are the rows (see _row) at the step's ends.  Each table
+    (u, v, u', v') interpolates a component w and its first three
+    derivatives by the degree-7 Hermite polynomial P7.  With the fourth
+    derivative of w at both ends too, the degree-9 interpolant is P7 +
+    tau^4 (1-tau)^4 (a (1-tau) + b tau), where 24 a and 24 b are h^4 w''''
+    less P7'''' at tau = 0 and 1; the correction is at most max(|a|, |b|)
+    / 256.  With m = 24 (a + b) and n = 24 (a - b), written out in the sums
+    s_k and differences e_k of h^k w^(k) at the two ends, that is (|m| +
+    |n|) / 12288.  Returns the largest correction over the four tables,
+    each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|).
     """
-    (u0, v0, du0, dv0), (_, _, ddu0, ddv0), (dddu0, dddv0, _, _), (d4u0, d4v0, d5u0, d5v0) = start
-    (u1, v1, du1, dv1), (_, _, ddu1, ddv1), (dddu1, dddv1, _, _), (d4u1, d4v1, d5u1, d5v1) = end
+    u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, d4u0, d4v0, d5u0, d5v0 = start
+    u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, d4u1, d4v1, d5u1, d5v1 = end
     h2 = h * h
     h3 = h2 * h
     h4 = h2 * h2
@@ -443,30 +432,34 @@ def _dense_error(h, rel_tol, start, end):
     return worst / 12288.0
 
 
-def _step_data(h, y0, k0, ddd0, y1, k1, ddd1):
-    """Hermite data of u and of v on a step: value and h^k times the k-th
-    derivative, k = 1..3, at each end (k holds u', v', u'', v'').  The hull
-    test and the event search take the same data."""
+def _step_data(h, start, end):
+    """Hermite data of u and of v on a step from the rows at its ends: value
+    and h^k times the k-th derivative, k = 1..3, at each end.  The hull test
+    and the event search take the same data."""
+    u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, _, _, _, _ = start
+    u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, _, _, _, _ = end
     hh = h * h
     h3 = h**3
     return (
-        (y0[0], h * k0[0], hh * k0[2], h3 * ddd0[0], y1[0], h * k1[0], hh * k1[2], h3 * ddd1[0]),
-        (y0[1], h * k0[1], hh * k0[3], h3 * ddd0[1], y1[1], h * k1[1], hh * k1[3], h3 * ddd1[1]),
+        (u0, h * du0, hh * ddu0, h3 * dddu0, u1, h * du1, hh * ddu1, h3 * dddu1),
+        (v0, h * dv0, hh * ddv0, h3 * dddv0, v1, h * dv1, hh * ddv1, h3 * dddv1),
     )
 
 
-def _hull_clear(data):
-    """True when all control points of u and v lie strictly inside (0, 1e8).
+def _hull_clear(h, start, end):
+    """True when all control points of u and v on the step between the rows
+    start and end lie strictly inside (0, 1e8).
 
-    Level 0 of the event search, written out: it runs on every accepted
-    step.  A float average fl(0.5 (x + y)) never leaves [min(x, y), max(x,
-    y)] unless x + y overflows, and then it is +-inf of their sign; so every
-    subinterval's control points pass too, and _scan_events returns None on
-    the same data.  A non-finite value gives False.
+    Level 0 of the event search on the step's _step_data, written out: it
+    runs on every accepted step.  A float average fl(0.5 (x + y)) never
+    leaves [min(x, y), max(x, y)] unless x + y overflows, and then it is
+    +-inf of their sign; so every subinterval's control points pass too,
+    and _scan_events returns None on the same data.  A non-finite value
+    gives False.
     """
     top = BLOWUP_THRESHOLD
-    for w0, d0, dd0, t0, w1, d1, dd1, t1 in data:
-        b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(w0, d0, dd0, t0, w1, d1, dd1, t1)
+    for data in _step_data(h, start, end):
+        b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(*data)
         if not (0.0 < b0 < top and 0.0 < b1 < top and 0.0 < b2 < top and 0.0 < b3 < top
                 and 0.0 < b4 < top and 0.0 < b5 < top and 0.0 < b6 < top and 0.0 < b7 < top):
             return False
@@ -556,13 +549,15 @@ def _scan_events(r0, h, data):
     return r0 + t_star * h, event_status, (*values, *slopes)
 
 
-def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
-    """One DOP853 trial step from (r, y) with FSAL slope k1.
+def _dop853_step(r, h, u, v, du, dv, ddu1, ddv1, p, q, dm1, rel_tol):
+    """One DOP853 trial step from (u, v, u', v') at r, with u'', v'' there.
 
-    Returns (y_new, k13, err), k13 being the slope at r + h; a trial step
-    whose stages or error norms overflow returns (None, None, inf), which
-    the caller rejects.  Stage i holds u, v, u', v' in plain floats and its
-    slope is (dui, dvi, ddui, ddvi).  Every weighted sum runs left to right
+    The FSAL slope of stage 1 is (u', v', u'', v''), the state's own u' and
+    v' and the ODE's u'' and v''.  Returns (u, v, u', v', u'', v'', err) at
+    r + h, the last four the slope there; a trial step whose stages or
+    error norms overflow returns six None and err = inf, which the caller
+    rejects.  Stage i holds u, v, u', v' in plain floats and its slope is
+    (dui, dvi, ddui, ddvi).  Every weighted sum runs left to right
     from 0.0, which rounds as the int 0 that starts sum() on Python 3.11
     (0 + x is 0.0 + x for every float x; a -0.0 sum becomes +0.0) but adds
     float to float, the cheaper path.  Zero tableau weights are skipped:
@@ -577,59 +572,57 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
     (abs clears the sign bit of a NaN).  The bits are those of the generic
     stage loop that tests/test_kernel_reference.py keeps.
     """
-    u, v, du, dv = y
-    du1, dv1, ddu1, ddv1 = k1
     try:
-        u2 = u + h * (0.0 + _A2_1 * du1)
-        v2 = v + h * (0.0 + _A2_1 * dv1)
+        u2 = u + h * (0.0 + _A2_1 * du)
+        v2 = v + h * (0.0 + _A2_1 * dv)
         du2 = du + h * (0.0 + _A2_1 * ddu1)
         dv2 = dv + h * (0.0 + _A2_1 * ddv1)
         c = dm1 / (r + _C2 * h)
         ddu2 = -c * du2 - (v2 ** p if v2 > 0.0 else math.copysign(abs(v2) ** p, v2) if v2 else 0.0)
         ddv2 = -c * dv2 - (u2 ** q if u2 > 0.0 else math.copysign(abs(u2) ** q, u2) if u2 else 0.0)
 
-        u3 = u + h * (0.0 + _A3_1 * du1 + _A3_2 * du2)
-        v3 = v + h * (0.0 + _A3_1 * dv1 + _A3_2 * dv2)
+        u3 = u + h * (0.0 + _A3_1 * du + _A3_2 * du2)
+        v3 = v + h * (0.0 + _A3_1 * dv + _A3_2 * dv2)
         du3 = du + h * (0.0 + _A3_1 * ddu1 + _A3_2 * ddu2)
         dv3 = dv + h * (0.0 + _A3_1 * ddv1 + _A3_2 * ddv2)
         c = dm1 / (r + _C3 * h)
         ddu3 = -c * du3 - (v3 ** p if v3 > 0.0 else math.copysign(abs(v3) ** p, v3) if v3 else 0.0)
         ddv3 = -c * dv3 - (u3 ** q if u3 > 0.0 else math.copysign(abs(u3) ** q, u3) if u3 else 0.0)
 
-        u4 = u + h * (0.0 + _A4_1 * du1 + _A4_3 * du3)
-        v4 = v + h * (0.0 + _A4_1 * dv1 + _A4_3 * dv3)
+        u4 = u + h * (0.0 + _A4_1 * du + _A4_3 * du3)
+        v4 = v + h * (0.0 + _A4_1 * dv + _A4_3 * dv3)
         du4 = du + h * (0.0 + _A4_1 * ddu1 + _A4_3 * ddu3)
         dv4 = dv + h * (0.0 + _A4_1 * ddv1 + _A4_3 * ddv3)
         c = dm1 / (r + _C4 * h)
         ddu4 = -c * du4 - (v4 ** p if v4 > 0.0 else math.copysign(abs(v4) ** p, v4) if v4 else 0.0)
         ddv4 = -c * dv4 - (u4 ** q if u4 > 0.0 else math.copysign(abs(u4) ** q, u4) if u4 else 0.0)
 
-        u5 = u + h * (0.0 + _A5_1 * du1 + _A5_3 * du3 + _A5_4 * du4)
-        v5 = v + h * (0.0 + _A5_1 * dv1 + _A5_3 * dv3 + _A5_4 * dv4)
+        u5 = u + h * (0.0 + _A5_1 * du + _A5_3 * du3 + _A5_4 * du4)
+        v5 = v + h * (0.0 + _A5_1 * dv + _A5_3 * dv3 + _A5_4 * dv4)
         du5 = du + h * (0.0 + _A5_1 * ddu1 + _A5_3 * ddu3 + _A5_4 * ddu4)
         dv5 = dv + h * (0.0 + _A5_1 * ddv1 + _A5_3 * ddv3 + _A5_4 * ddv4)
         c = dm1 / (r + _C5 * h)
         ddu5 = -c * du5 - (v5 ** p if v5 > 0.0 else math.copysign(abs(v5) ** p, v5) if v5 else 0.0)
         ddv5 = -c * dv5 - (u5 ** q if u5 > 0.0 else math.copysign(abs(u5) ** q, u5) if u5 else 0.0)
 
-        u6 = u + h * (0.0 + _A6_1 * du1 + _A6_4 * du4 + _A6_5 * du5)
-        v6 = v + h * (0.0 + _A6_1 * dv1 + _A6_4 * dv4 + _A6_5 * dv5)
+        u6 = u + h * (0.0 + _A6_1 * du + _A6_4 * du4 + _A6_5 * du5)
+        v6 = v + h * (0.0 + _A6_1 * dv + _A6_4 * dv4 + _A6_5 * dv5)
         du6 = du + h * (0.0 + _A6_1 * ddu1 + _A6_4 * ddu4 + _A6_5 * ddu5)
         dv6 = dv + h * (0.0 + _A6_1 * ddv1 + _A6_4 * ddv4 + _A6_5 * ddv5)
         c = dm1 / (r + _C6 * h)
         ddu6 = -c * du6 - (v6 ** p if v6 > 0.0 else math.copysign(abs(v6) ** p, v6) if v6 else 0.0)
         ddv6 = -c * dv6 - (u6 ** q if u6 > 0.0 else math.copysign(abs(u6) ** q, u6) if u6 else 0.0)
 
-        u7 = u + h * (0.0 + _A7_1 * du1 + _A7_4 * du4 + _A7_5 * du5 + _A7_6 * du6)
-        v7 = v + h * (0.0 + _A7_1 * dv1 + _A7_4 * dv4 + _A7_5 * dv5 + _A7_6 * dv6)
+        u7 = u + h * (0.0 + _A7_1 * du + _A7_4 * du4 + _A7_5 * du5 + _A7_6 * du6)
+        v7 = v + h * (0.0 + _A7_1 * dv + _A7_4 * dv4 + _A7_5 * dv5 + _A7_6 * dv6)
         du7 = du + h * (0.0 + _A7_1 * ddu1 + _A7_4 * ddu4 + _A7_5 * ddu5 + _A7_6 * ddu6)
         dv7 = dv + h * (0.0 + _A7_1 * ddv1 + _A7_4 * ddv4 + _A7_5 * ddv5 + _A7_6 * ddv6)
         c = dm1 / (r + _C7 * h)
         ddu7 = -c * du7 - (v7 ** p if v7 > 0.0 else math.copysign(abs(v7) ** p, v7) if v7 else 0.0)
         ddv7 = -c * dv7 - (u7 ** q if u7 > 0.0 else math.copysign(abs(u7) ** q, u7) if u7 else 0.0)
 
-        u8 = u + h * (0.0 + _A8_1 * du1 + _A8_4 * du4 + _A8_5 * du5 + _A8_6 * du6 + _A8_7 * du7)
-        v8 = v + h * (0.0 + _A8_1 * dv1 + _A8_4 * dv4 + _A8_5 * dv5 + _A8_6 * dv6 + _A8_7 * dv7)
+        u8 = u + h * (0.0 + _A8_1 * du + _A8_4 * du4 + _A8_5 * du5 + _A8_6 * du6 + _A8_7 * du7)
+        v8 = v + h * (0.0 + _A8_1 * dv + _A8_4 * dv4 + _A8_5 * dv5 + _A8_6 * dv6 + _A8_7 * dv7)
         du8 = du + h * (0.0 + _A8_1 * ddu1 + _A8_4 * ddu4 + _A8_5 * ddu5 + _A8_6 * ddu6
             + _A8_7 * ddu7)
         dv8 = dv + h * (0.0 + _A8_1 * ddv1 + _A8_4 * ddv4 + _A8_5 * ddv5 + _A8_6 * ddv6
@@ -638,9 +631,9 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu8 = -c * du8 - (v8 ** p if v8 > 0.0 else math.copysign(abs(v8) ** p, v8) if v8 else 0.0)
         ddv8 = -c * dv8 - (u8 ** q if u8 > 0.0 else math.copysign(abs(u8) ** q, u8) if u8 else 0.0)
 
-        u9 = u + h * (0.0 + _A9_1 * du1 + _A9_4 * du4 + _A9_5 * du5 + _A9_6 * du6 + _A9_7 * du7
+        u9 = u + h * (0.0 + _A9_1 * du + _A9_4 * du4 + _A9_5 * du5 + _A9_6 * du6 + _A9_7 * du7
             + _A9_8 * du8)
-        v9 = v + h * (0.0 + _A9_1 * dv1 + _A9_4 * dv4 + _A9_5 * dv5 + _A9_6 * dv6 + _A9_7 * dv7
+        v9 = v + h * (0.0 + _A9_1 * dv + _A9_4 * dv4 + _A9_5 * dv5 + _A9_6 * dv6 + _A9_7 * dv7
             + _A9_8 * dv8)
         du9 = du + h * (0.0 + _A9_1 * ddu1 + _A9_4 * ddu4 + _A9_5 * ddu5 + _A9_6 * ddu6
             + _A9_7 * ddu7 + _A9_8 * ddu8)
@@ -650,9 +643,9 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu9 = -c * du9 - (v9 ** p if v9 > 0.0 else math.copysign(abs(v9) ** p, v9) if v9 else 0.0)
         ddv9 = -c * dv9 - (u9 ** q if u9 > 0.0 else math.copysign(abs(u9) ** q, u9) if u9 else 0.0)
 
-        u10 = u + h * (0.0 + _A10_1 * du1 + _A10_4 * du4 + _A10_5 * du5 + _A10_6 * du6
+        u10 = u + h * (0.0 + _A10_1 * du + _A10_4 * du4 + _A10_5 * du5 + _A10_6 * du6
             + _A10_7 * du7 + _A10_8 * du8 + _A10_9 * du9)
-        v10 = v + h * (0.0 + _A10_1 * dv1 + _A10_4 * dv4 + _A10_5 * dv5 + _A10_6 * dv6
+        v10 = v + h * (0.0 + _A10_1 * dv + _A10_4 * dv4 + _A10_5 * dv5 + _A10_6 * dv6
             + _A10_7 * dv7 + _A10_8 * dv8 + _A10_9 * dv9)
         du10 = du + h * (0.0 + _A10_1 * ddu1 + _A10_4 * ddu4 + _A10_5 * ddu5 + _A10_6 * ddu6
             + _A10_7 * ddu7 + _A10_8 * ddu8 + _A10_9 * ddu9)
@@ -662,9 +655,9 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu10 = -c * du10 - (v10 ** p if v10 > 0.0 else math.copysign(abs(v10) ** p, v10) if v10 else 0.0)
         ddv10 = -c * dv10 - (u10 ** q if u10 > 0.0 else math.copysign(abs(u10) ** q, u10) if u10 else 0.0)
 
-        u11 = u + h * (0.0 + _A11_1 * du1 + _A11_4 * du4 + _A11_5 * du5 + _A11_6 * du6
+        u11 = u + h * (0.0 + _A11_1 * du + _A11_4 * du4 + _A11_5 * du5 + _A11_6 * du6
             + _A11_7 * du7 + _A11_8 * du8 + _A11_9 * du9 + _A11_10 * du10)
-        v11 = v + h * (0.0 + _A11_1 * dv1 + _A11_4 * dv4 + _A11_5 * dv5 + _A11_6 * dv6
+        v11 = v + h * (0.0 + _A11_1 * dv + _A11_4 * dv4 + _A11_5 * dv5 + _A11_6 * dv6
             + _A11_7 * dv7 + _A11_8 * dv8 + _A11_9 * dv9 + _A11_10 * dv10)
         du11 = du + h * (0.0 + _A11_1 * ddu1 + _A11_4 * ddu4 + _A11_5 * ddu5 + _A11_6 * ddu6
             + _A11_7 * ddu7 + _A11_8 * ddu8 + _A11_9 * ddu9 + _A11_10 * ddu10)
@@ -674,9 +667,9 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu11 = -c * du11 - (v11 ** p if v11 > 0.0 else math.copysign(abs(v11) ** p, v11) if v11 else 0.0)
         ddv11 = -c * dv11 - (u11 ** q if u11 > 0.0 else math.copysign(abs(u11) ** q, u11) if u11 else 0.0)
 
-        u12 = u + h * (0.0 + _A12_1 * du1 + _A12_4 * du4 + _A12_5 * du5 + _A12_6 * du6
+        u12 = u + h * (0.0 + _A12_1 * du + _A12_4 * du4 + _A12_5 * du5 + _A12_6 * du6
             + _A12_7 * du7 + _A12_8 * du8 + _A12_9 * du9 + _A12_10 * du10 + _A12_11 * du11)
-        v12 = v + h * (0.0 + _A12_1 * dv1 + _A12_4 * dv4 + _A12_5 * dv5 + _A12_6 * dv6
+        v12 = v + h * (0.0 + _A12_1 * dv + _A12_4 * dv4 + _A12_5 * dv5 + _A12_6 * dv6
             + _A12_7 * dv7 + _A12_8 * dv8 + _A12_9 * dv9 + _A12_10 * dv10 + _A12_11 * dv11)
         du12 = du + h * (0.0 + _A12_1 * ddu1 + _A12_4 * ddu4 + _A12_5 * ddu5 + _A12_6 * ddu6
             + _A12_7 * ddu7 + _A12_8 * ddu8 + _A12_9 * ddu9 + _A12_10 * ddu10 + _A12_11 * ddu11)
@@ -686,21 +679,21 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu12 = -c * du12 - (v12 ** p if v12 > 0.0 else math.copysign(abs(v12) ** p, v12) if v12 else 0.0)
         ddv12 = -c * dv12 - (u12 ** q if u12 > 0.0 else math.copysign(abs(u12) ** q, u12) if u12 else 0.0)
 
-        u13 = u + h * (0.0 + _B1 * du1 + _B6 * du6 + _B7 * du7 + _B8 * du8 + _B9 * du9 + _B10 * du10
+        u13 = u + h * (0.0 + _B1 * du + _B6 * du6 + _B7 * du7 + _B8 * du8 + _B9 * du9 + _B10 * du10
             + _B11 * du11 + _B12 * du12)
-        v13 = v + h * (0.0 + _B1 * dv1 + _B6 * dv6 + _B7 * dv7 + _B8 * dv8 + _B9 * dv9 + _B10 * dv10
+        v13 = v + h * (0.0 + _B1 * dv + _B6 * dv6 + _B7 * dv7 + _B8 * dv8 + _B9 * dv9 + _B10 * dv10
             + _B11 * dv11 + _B12 * dv12)
         du13 = du + h * (0.0 + _B1 * ddu1 + _B6 * ddu6 + _B7 * ddu7 + _B8 * ddu8 + _B9 * ddu9
             + _B10 * ddu10 + _B11 * ddu11 + _B12 * ddu12)
         dv13 = dv + h * (0.0 + _B1 * ddv1 + _B6 * ddv6 + _B7 * ddv7 + _B8 * ddv8 + _B9 * ddv9
             + _B10 * ddv10 + _B11 * ddv11 + _B12 * ddv12)
-        e5u = (0.0 + _E5_1 * du1 + _E5_6 * du6 + _E5_7 * du7 + _E5_8 * du8 + _E5_9 * du9
+        e5u = (0.0 + _E5_1 * du + _E5_6 * du6 + _E5_7 * du7 + _E5_8 * du8 + _E5_9 * du9
             + _E5_10 * du10 + _E5_11 * du11 + _E5_12 * du12)
-        e3u = (0.0 + _E3_1 * du1 + _E3_6 * du6 + _E3_7 * du7 + _E3_8 * du8 + _E3_9 * du9
+        e3u = (0.0 + _E3_1 * du + _E3_6 * du6 + _E3_7 * du7 + _E3_8 * du8 + _E3_9 * du9
             + _E3_10 * du10 + _E3_11 * du11 + _E3_12 * du12)
-        e5v = (0.0 + _E5_1 * dv1 + _E5_6 * dv6 + _E5_7 * dv7 + _E5_8 * dv8 + _E5_9 * dv9
+        e5v = (0.0 + _E5_1 * dv + _E5_6 * dv6 + _E5_7 * dv7 + _E5_8 * dv8 + _E5_9 * dv9
             + _E5_10 * dv10 + _E5_11 * dv11 + _E5_12 * dv12)
-        e3v = (0.0 + _E3_1 * dv1 + _E3_6 * dv6 + _E3_7 * dv7 + _E3_8 * dv8 + _E3_9 * dv9
+        e3v = (0.0 + _E3_1 * dv + _E3_6 * dv6 + _E3_7 * dv7 + _E3_8 * dv8 + _E3_9 * dv9
             + _E3_10 * dv10 + _E3_11 * dv11 + _E3_12 * dv12)
         e5du = (0.0 + _E5_1 * ddu1 + _E5_6 * ddu6 + _E5_7 * ddu7 + _E5_8 * ddu8 + _E5_9 * ddu9
             + _E5_10 * ddu10 + _E5_11 * ddu11 + _E5_12 * ddu12)
@@ -729,7 +722,7 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         ddu13 = -c * du13 - (v13 ** p if v13 > 0.0 else math.copysign(abs(v13) ** p, v13) if v13 else 0.0)
         ddv13 = -c * dv13 - (u13 ** q if u13 > 0.0 else math.copysign(abs(u13) ** q, u13) if u13 else 0.0)
     except OverflowError:
-        return None, None, math.inf
+        return None, None, None, None, None, None, math.inf
     deno = err5 + 0.01 * err3
     if not deno < math.inf:
         err = math.inf
@@ -737,7 +730,7 @@ def _dop853_step(r, h, y, k1, p, q, dm1, rel_tol):
         err = h * err5 / (2.0 * math.sqrt(deno))
     else:
         err = 0.0
-    return (u13, v13, du13, dv13), (du13, dv13, ddu13, ddv13), err
+    return u13, v13, du13, dv13, ddu13, ddv13, err
 
 
 def integrate(
@@ -777,7 +770,7 @@ def integrate(
             -vp * r / d,
             -uq * r / d,
         )
-        node = _node(r, y, p, q, dm1)
+        row = _node(r, y, p, q, dm1)
     except OverflowError:
         raise InvalidInputError(f"the series start overflows, u0={u0}, v0={v0}") from None
     if not (y[0] > 0.0 and y[1] > 0.0):
@@ -785,11 +778,11 @@ def integrate(
             f"the series start is not positive: u(r_start)={y[0]}, v(r_start)={y[1]} "
             f"for u0={u0}, v0={v0}"
         )
-    # each row keeps (y, k, ddd, d45) of its node, the data that the dense
-    # output bound and the event search took there
+    # each row is the one that the dense output bound and the event search
+    # took at its node; the step starts from the last row's first six
     rows_r = [r]
-    rows = [node]
-    _, k1, ddd0, d45_0 = node
+    rows = [row]
+    u, v, du, dv, ddu, ddv = y[0], y[1], y[2], y[3], row[4], row[5]
     h = 0.1 * r
     status = RadialStatus.COMPLETED
     event_radius: Optional[float] = None
@@ -801,26 +794,25 @@ def integrate(
             event_radius = r
             break
 
-        y_new, k13, err = _dop853_step(r, h, y, k1, p, q, dm1, rel_tol)
+        u1, v1, du1, dv1, ddu1, ddv1, err = _dop853_step(
+            r, h, u, v, du, dv, ddu, ddv, p, q, dm1, rel_tol
+        )
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.125)
             continue
 
-        # the derivatives at the step start are those of the previous end
-        ddd1 = _third_derivs(r + h, *k13, y_new[0], y_new[1], p, q, dm1)
-        d45_1 = _dense_derivs(r + h, y_new, k13, ddd1, p, q, dm1)
+        end = _row(r + h, u1, v1, du1, dv1, ddu1, ddv1, p, q, dm1)
         # the dense output bound, wherever u and v are nonzero at the step
         # end (the start is positive): also on a step past a zero, so that
         # the event search runs on a bounded polynomial
-        if y_new[0] != 0.0 and y_new[1] != 0.0:
-            dense = _dense_error(h, rel_tol, (y, k1, ddd0, d45_0), (y_new, k13, ddd1, d45_1))
+        if u1 != 0.0 and v1 != 0.0:
+            dense = _dense_error(h, rel_tol, row, end)
             if dense > 1.0:
                 h *= max(0.2, 0.9 * dense**-0.125)
                 continue
             err = dense if dense > err else err
-        data = _step_data(h, y, k1, ddd0, y_new, k13, ddd1)
-        if not _hull_clear(data):
-            event = _scan_events(r, h, data)
+        if not _hull_clear(h, row, end):
+            event = _scan_events(r, h, _step_data(h, row, end))
             if event is not None:
                 r_event, status, y_event = event
                 rows_r.append(r_event)
@@ -828,17 +820,20 @@ def integrate(
                 event_radius = r_event
                 break
 
+        if len(rows) == MAX_ROWS:
+            raise InvalidInputError(
+                f"integration needs more than {MAX_ROWS} rows; it reached r={r!r} of "
+                f"r_max={r_max!r} with step {h!r}"
+            )
         r = r + h
         rows_r.append(r)
-        rows.append((y_new, k13, ddd1, d45_1))
-        y = y_new
-        k1 = k13
-        ddd0 = ddd1
-        d45_0 = d45_1
+        rows.append(end)
+        row = end
+        u, v, du, dv, ddu, ddv = u1, v1, du1, dv1, ddu1, ddv1
         factor = 5.0 if err == 0.0 else 0.9 * err**-0.125
         h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # min(5, max(0.2, .))
 
-    arr = np.array([(*y, *k[2:], *ddd[:2], *d45[:2]) for y, k, ddd, d45 in rows])
+    arr = np.array(rows)
     return RadialSolution(
         params=params,
         u0=u0,
@@ -848,7 +843,7 @@ def integrate(
         v=arr[:, 1],
         du=arr[:, 2],
         dv=arr[:, 3],
-        higher=arr[:, 4:],
+        higher=arr[:, 4:10],
         status=status,
         event_radius=event_radius,
         rel_tol=rel_tol,

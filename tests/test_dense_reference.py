@@ -175,16 +175,16 @@ def test_evaluate_matches_reference_loop(solution):
 
 @pytest.mark.parametrize("triple, r_max", [((3, 3, 13), 1000.0), ((2.5, 1.5, 7), 50.0)])
 def test_tables_interpolate_the_data_that_integrate_bounded(monkeypatch, triple, r_max):
-    # the node data (y, k, ddd, d45) that integrate hands the dense output
-    # bound, by the node's (u, v, u', v'); a passing call's step is accepted
-    # or ends in the event row
+    # the rows that integrate hands the dense output bound, by the node's
+    # (u, v, u', v'); a passing call's step is accepted or ends in the
+    # event row
     bounded = {}
     dense_error = radial._dense_error
 
     def recorded(h, rel_tol, start, end):
         got = dense_error(h, rel_tol, start, end)
         if got <= 1.0:
-            bounded[start[0]], bounded[end[0]] = start, end
+            bounded[start[:4]], bounded[end[:4]] = start, end
         return got
 
     monkeypatch.setattr(radial, "_dense_error", recorded)
@@ -195,12 +195,9 @@ def test_tables_interpolate_the_data_that_integrate_bounded(monkeypatch, triple,
         ends = [bounded.get((sol.u[j], sol.v[j], sol.du[j], sol.dv[j])) for j in (i, i + 1)]
         if None in ends:
             continue
-        # per table (u, v, u', v'), w and its first three derivatives at each end
-        data = [
-            ((y[0], k[0], k[2], ddd[0]), (y[1], k[1], k[3], ddd[1]),
-             (y[2], k[2], ddd[0], d45[0]), (y[3], k[3], ddd[1], d45[1]))
-            for y, k, ddd, d45 in ends
-        ]
+        # per table (u, v, u', v'), w and its first three derivatives at each
+        # end: the row's entries j, j + 2, j + 4, j + 6 for the table of entry j
+        data = [[row[j:j + 8:2] for j in range(4)] for row in ends]
         h = float(sol.r[i + 1] - sol.r[i])
         powers = (1.0, h, h * h, h**3)  # as the tables scale a step
         for t, table in enumerate(tables):
@@ -240,10 +237,8 @@ def test_dense_error_bounds_the_degree_9_correction():
             data = [ends[e][first + k] * h**k for e in (0, 1) for k in range(4)]
             error = np.abs(_bernstein(_control_points(*data), basis) - w.deriv(first)(tau * h))
             worst = max(worst, error.max() / max(abs(ends[0][first]), abs(ends[1][first])))
-        start, end = (
-            ((w0, w0, d1, d1), (d1, d1, d2, d2), (d3, d3, 0.0, 0.0), (d4, d4, d5, d5))
-            for w0, d1, d2, d3, d4, d5 in ends
-        )
+        # rows with u = v = w
+        start, end = (tuple(x for x in node for _ in range(2)) for node in ends)
         estimate = radial._dense_error(h, 1.0, start, end)
         assert worst <= estimate * (1.0 + 1e-9) and estimate <= 4.9 * worst, (worst, estimate)
 

@@ -31,26 +31,27 @@ from lelab.radial import (
     _first_hit,
     _halves,
     _hull_clear,
-    _rhs,
+    _node,
     _scan_events,
     _step_data,
-    _third_derivs,
 )
 
 
-def _endpoint_derivs(r0, h, y0, y1, p, q, dm1):
-    """Slopes and third derivatives at both ends of a step, as integrate forms them."""
-    k0 = _rhs(r0, *y0, p, q, dm1)
-    k1 = _rhs(r0 + h, *y1, p, q, dm1)
-    ddd0 = _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
-    ddd1 = _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
-    return k0, k1, ddd0, ddd1
+def _rows(r0, h, y0, y1, p, q, dm1):
+    """The rows at both ends of a step with (u, v, u', v') y0 and y1, as integrate forms them."""
+    return _node(r0, tuple(y0), p, q, dm1), _node(r0 + h, tuple(y1), p, q, dm1)
 
 
 def _data(r0, h, y0, y1, p, q, dm1):
-    """The step's Hermite data of u and v, as integrate hands it to the hull and the scan."""
-    k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
-    return _step_data(h, y0, k0, ddd0, y1, k1, ddd1)
+    """The step's Hermite data of u and v, as integrate hands it to the scan."""
+    return _step_data(h, *_rows(r0, h, y0, y1, p, q, dm1))
+
+
+def _row_of(y, k, ddd):
+    """A row from y = (u, v, u', v'), k = (u', v', u'', v'') and the third
+    derivatives ddd; the fourth and fifth, which the hull and the scan do
+    not read, are 0."""
+    return (*y, *k[2:], *ddd, 0.0, 0.0, 0.0, 0.0)
 
 
 def _first_crossing(b, level, sign, r0, h):
@@ -381,8 +382,8 @@ def _scaled(h, w0, d0, dd0, t0, w1, d1, dd1, t1):
 
 
 def _hull_and_scan(r0, h, y0, y1, p, q, dm1):
-    data = _data(r0, h, y0, y1, p, q, dm1)
-    return _hull_clear(data), _scan_events(r0, h, data)
+    start, end = _rows(r0, h, y0, y1, p, q, dm1)
+    return _hull_clear(h, start, end), _scan_events(r0, h, _step_data(h, start, end))
 
 
 def _constructed_steps(rng, n):
@@ -416,9 +417,8 @@ def _constructed_steps(rng, n):
         dv0, dv1 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         y0 = [base, v0, du0, dv0]
         y1 = [base if interior else 0.0, v1, du1, dv1]  # an end value is set below
-        k0, k1, ddd0, ddd1 = _endpoint_derivs(r0, h, y0, y1, p, q, dm1)
-        scale = sum(map(abs, _scaled(h, y0[0], k0[0], k0[2], ddd0[0],
-                                     y1[0], k1[0], k1[2], ddd1[0])))
+        start, end = _rows(r0, h, y0, y1, p, q, dm1)
+        scale = sum(map(abs, _scaled(h, *start[0:8:2], *end[0:8:2])))
         ulps = 3 * math.ulp(BLOWUP_THRESHOLD if top else 0.0)
         for offset in (0.0, ulps, 1e-16 * scale, 1e-13 * scale, 1e-11 * scale, 1e-10 * scale):
             for sign in (1.0, -1.0):
@@ -497,25 +497,26 @@ def test_hull_is_sound_near_zero_and_blowup():
 
 
 def test_non_finite_data_fall_through_to_the_scan():
-    clear = lambda *step: _hull_clear(_step_data(*step))
     y0, y1 = (1.0, 1.0, -0.5, -0.5), (0.9, 0.9, -0.5, -0.5)
     k = (-0.5, -0.5, -1.0, -1.0)
     ddd = (0.1, 0.1)
-    assert clear(0.1, y0, k, ddd, y1, k, ddd)
+    start, end = _row_of(y0, k, ddd), _row_of(y1, k, ddd)
+    assert _hull_clear(0.1, start, end)
+
+    def spoiled(row, i, bad):
+        return row[:i] + (bad,) + row[i + 1:]
+
     for bad in (math.nan, math.inf, -math.inf):
         for j in range(2):
-            w = list(ddd)
-            w[j] = bad
-            assert not clear(0.1, y0, k, tuple(w), y1, k, ddd)
-            w = list(y1)
-            w[j] = bad
-            assert not clear(0.1, y0, k, ddd, tuple(w), k, ddd)
-            w = list(k)
-            w[j + 2] = bad
-            assert not clear(0.1, y0, tuple(w), ddd, y1, k, ddd)
+            # a third derivative at the start, a value at the end, a
+            # second derivative at the start
+            assert not _hull_clear(0.1, spoiled(start, 6 + j, bad), end)
+            assert not _hull_clear(0.1, start, spoiled(end, j, bad))
+            assert not _hull_clear(0.1, spoiled(start, 4 + j, bad), end)
             if bad != bad:  # and the search finds no event in NaN data
-                assert _scan_events(1.0, 0.1, _step_data(0.1, y0, tuple(w), ddd, y1, k, ddd)) is None
-    assert not clear(math.inf, y0, k, ddd, y1, k, ddd)
+                data = _step_data(0.1, spoiled(start, 4 + j, bad), end)
+                assert _scan_events(1.0, 0.1, data) is None
+    assert not _hull_clear(math.inf, start, end)
 
 
 def test_hull_clears_every_step_of_a_slow_decay_run(monkeypatch):
@@ -550,8 +551,8 @@ def test_hull_decision_matches_bernstein_coefficients():
             comps.append((w[0], *d[0], w[1], *d[1]))
         (u0, du0, ddu0, dddu0, u1, du1, ddu1, dddu1) = comps[0]
         (v0, dv0, ddv0, dddv0, v1, dv1, ddv1, dddv1) = comps[1]
-        args = (h, (u0, v0), (du0, dv0, ddu0, ddv0), (dddu0, dddv0),
-                (u1, v1), (du1, dv1, ddu1, ddv1), (dddu1, dddv1))
+        start = _row_of((u0, v0, du0, dv0), (du0, dv0, ddu0, ddv0), (dddu0, dddv0))
+        end = _row_of((u1, v1, du1, dv1), (du1, dv1, ddu1, ddv1), (dddu1, dddv1))
         expected, ambiguous = True, False
         for data in comps:
             size = sum(map(abs, _scaled(h, *data)))
@@ -559,30 +560,29 @@ def test_hull_decision_matches_bernstein_coefficients():
                 expected = expected and 0.0 < b < BLOWUP_THRESHOLD
                 ambiguous = ambiguous or min(abs(b), abs(b - BLOWUP_THRESHOLD)) < 1e-14 * size
         if not ambiguous:
-            assert _hull_clear(_step_data(*args)) == expected
+            assert _hull_clear(h, start, end) == expected
             verdicts.append(expected)
     assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
 
 
 @pytest.mark.parametrize("triple, v0, r_max", [((5, 5, 3), 1.7, 20.0), ((3, 3, 13), 1.0, 100.0)])
 def test_hull_sees_the_derivatives_of_its_own_step(monkeypatch, triple, v0, r_max):
-    # integrate carries each step's end third derivatives over to the next
-    # step's start; the hull and the scan must see the values of the step's
-    # own endpoints
+    # integrate carries each step's end row over to the next step's start;
+    # the hull and the scan must see the rows of the step's own endpoints
     calls = []
 
-    def recording_data(*args):
+    def recording_hull(*args):
         calls.append(args)
-        return _step_data(*args)
+        return _hull_clear(*args)
 
-    monkeypatch.setattr(radial, "_step_data", recording_data)
+    monkeypatch.setattr(radial, "_hull_clear", recording_hull)
     params = SystemParams(*triple)
     p, q, dm1 = params.p, params.q, params.d - 1.0
     sol = integrate(params, v0, r_max, 1e-9)
     assert len(calls) == len(sol.r) - 1
-    for i, (h, y0, k0, ddd0, y1, k1, ddd1) in enumerate(calls):
+    for i, (h, start, end) in enumerate(calls):
         r0 = float(sol.r[i])
-        assert y0 == (sol.u[i], sol.v[i], sol.du[i], sol.dv[i])
-        assert k0 == _rhs(r0, *y0, p, q, dm1) and k1 == _rhs(r0 + h, *y1, p, q, dm1)
-        assert ddd0 == _third_derivs(r0, *k0, y0[0], y0[1], p, q, dm1)
-        assert ddd1 == _third_derivs(r0 + h, *k1, y1[0], y1[1], p, q, dm1)
+        assert start[:4] == (sol.u[i], sol.v[i], sol.du[i], sol.dv[i])
+        assert start[4:10] == tuple(sol.higher[i])
+        assert start == _node(r0, start[:4], p, q, dm1)
+        assert end == _node(r0 + h, end[:4], p, q, dm1)

@@ -10,10 +10,12 @@ never formed, so an infinite slope there cannot make a sum NaN
 (0.0 * inf is NaN).  The tableau is kept here as the loop reads it,
 transcribed on its own from Prince & Dormand (1981) in the decimals of
 Hairer's DOP853, so a changed coefficient in ``radial`` fails too.
-``_dop853_step`` must give the same bits of y_new, k13 and err on every
-trial step of real trajectories and on random steps with overflowing
-stages, zero or -0.0, NaN and infinite components.  ``_third_derivs``,
-which feeds the dense output, is held the same way to its plain
+``_dop853_step`` must give the same bits of the new state, its slope and
+err on every trial step of real trajectories and on random steps with
+overflowing stages, zero or -0.0, NaN and infinite components; its FSAL
+slope's u' and v' are the state's own.  ``_row``, which builds each
+node's derivatives for the dense output, is held the same way to a
+reference that takes the third derivatives in their plain
 ``abs(w) ** (p - 1.0)`` form.  The tableau itself is checked on
 ``radial``'s constants: row sums against c, the quadrature order
 conditions through order 8, and the observed order of fixed steps on the
@@ -28,7 +30,7 @@ import pytest
 
 from lelab import RadialStatus, SystemParams, integrate
 from lelab import radial
-from lelab.radial import _ATOL_FLOOR, _dop853_step, _rhs, _third_derivs
+from lelab.radial import _ATOL_FLOOR, _dop853_step, _rhs, _row
 
 _C = (
     0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -141,8 +143,18 @@ def _bits(x):
 
 
 def _check(args, stages=None):
+    """The kernel on flat args (r, h, u, v, u', v', u'', v'', p, q, dm1,
+    rel_tol) against the reference from y = (u, v, u', v') with FSAL slope
+    (u', v', u'', v'')."""
+    r, h, u, v, du, dv, ddu, ddv, *rest = args
     got = _dop853_step(*args)
-    assert _bits(got) == _bits(_reference_step(*args, stages)), args
+    y_new, k13, err = _reference_step(r, h, (u, v, du, dv), (du, dv, ddu, ddv), *rest, stages)
+    if y_new is None:
+        assert _bits(got) == (None,) * 6 + (_bits(err),), args
+    else:
+        # the slope at r + h starts with the new state's own u' and v'
+        assert _bits(k13[:2]) == _bits(y_new[2:])
+        assert _bits(got) == _bits((*y_new, *k13[2:], err)), args
     return got
 
 
@@ -161,7 +173,7 @@ def test_kernel_matches_reference_on_trajectory_steps(monkeypatch, triple, v0, r
 
     def checked_step(*args):  # checks each trial step as integrate takes it
         got = _check(args)
-        errs.append(got[2])
+        errs.append(got[6])
         return got
 
     monkeypatch.setattr(radial, "_dop853_step", checked_step)
@@ -211,21 +223,24 @@ def test_kernel_matches_reference_on_random_steps():
             y = tuple(rng.choice((0.0, -0.0)) for _ in range(4))
         else:
             y = tuple(_component(rng, nonfinite) for _ in range(4))
+        # u'' and v'' at r: the ODE's, as integrate passes them, or drawn
+        # (four slopes are drawn and the last two kept, u' and v' being y's)
         if rng.random() < 0.5:
             try:
-                k1 = _rhs(r, *y, p, q, dm1)  # the FSAL slope integrate passes
+                k1 = _rhs(r, *y, p, q, dm1)
             except OverflowError:
                 k1 = tuple(_component(rng, nonfinite) for _ in range(4))
         else:
             k1 = tuple(_component(rng, nonfinite) for _ in range(4))
         if nonfinite and rng.random() < 0.2:
             # a subnormal solution: h times a stage sum rounds to -0.0, so a
-            # stage keeps the -0.0 of its component, and k13 shows the sign
-            # of the stage power when u' or v' at r + h is +0.0
+            # stage keeps the -0.0 of its component, and the new slope shows
+            # the sign of the stage power when u' or v' at r + h is +0.0
             y, k1 = (tuple(_subnormal(rng) for _ in range(4)) for _ in range(2))
         rel_tol = 10.0 ** rng.uniform(-13.0, -6.0)
-        y_new, _, err = _check((r, h, y, k1, p, q, dm1, rel_tol), stages)
-        if err == math.inf and y_new is None:
+        got = _check((r, h, *y, *k1[2:], p, q, dm1, rel_tol), stages)
+        y_new, err = got[:4], got[6]
+        if err == math.inf and y_new[0] is None:
             overflowed += 1
         elif err == math.inf:  # an infinite or NaN error norm
             nonfinite_norm += 1
@@ -234,7 +249,7 @@ def test_kernel_matches_reference_on_random_steps():
         else:
             accepted += 1
         # a -0.0 component that stays zero: the int start of each sum decides its sign
-        if y_new is not None and any(
+        if y_new[0] is not None and any(
             w == 0.0 == w_new and math.copysign(1.0, w) < 0.0 for w, w_new in zip(y, y_new)
         ):
             signed_zero += 1
@@ -259,7 +274,26 @@ def _reference_third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1):
     return dddu, dddv, fv, fu
 
 
-def _third_derivs_outcome(f, args):
+def _reference_row(r, u, v, du, dv, ddu, ddv, p, q, dm1):
+    """A node's row from the reference third derivatives and their fv, fu;
+    the fourth and fifth derivatives are the ODE's, rounded in radial's order."""
+    dddu, dddv, fv, fu = _reference_third_derivs(r, du, dv, ddu, ddv, u, v, p, q, dm1)
+    c = dm1 / r
+    cr = c / r
+    fv2 = (p - 1.0) * fv / v if v else 0.0
+    fv3 = (p - 2.0) * fv2 / v if v else 0.0
+    fu2 = (q - 1.0) * fu / u if u else 0.0
+    fu3 = (q - 2.0) * fu2 / u if u else 0.0
+    d4u = -2.0 * cr / r * du + 2.0 * cr * ddu - c * dddu - fv2 * dv * dv - fv * ddv
+    d4v = -2.0 * cr / r * dv + 2.0 * cr * ddv - c * dddv - fu2 * du * du - fu * ddu
+    d5u = (6.0 * cr / (r * r) * du - 6.0 * cr / r * ddu + 3.0 * cr * dddu - c * d4u
+           - fv3 * dv * dv * dv - 3.0 * fv2 * dv * ddv - fv * dddv)
+    d5v = (6.0 * cr / (r * r) * dv - 6.0 * cr / r * ddv + 3.0 * cr * dddv - c * d4v
+           - fu3 * du * du * du - 3.0 * fu2 * du * ddu - fu * dddu)
+    return u, v, du, dv, ddu, ddv, dddu, dddv, d4u, d4v, d5u, d5v
+
+
+def _row_outcome(f, args):
     try:
         return _bits(f(*args))
     except OverflowError:
@@ -273,10 +307,10 @@ def test_third_derivs_match_reference_on_trajectory_steps(
     calls, shortened = [], []
     dense_error = radial._dense_error
 
-    def checked(*args):  # checks each step end as integrate takes it
+    def checked(*args):  # checks each row as integrate builds it
         calls.append(args)
-        got = _third_derivs(*args)
-        assert _bits(got) == _bits(_reference_third_derivs(*args)), args
+        got = _row(*args)
+        assert _bits(got) == _bits(_reference_row(*args)), args
         return got
 
     def counted_dense_error(*args):
@@ -284,14 +318,14 @@ def test_third_derivs_match_reference_on_trajectory_steps(
         shortened.append(got > 1.0)
         return got
 
-    monkeypatch.setattr(radial, "_third_derivs", checked)
+    monkeypatch.setattr(radial, "_row", checked)
     monkeypatch.setattr(radial, "_dense_error", counted_dense_error)
     sol = integrate(SystemParams(*triple), v0, r_max, rel_tol)
     # one call for each row that integrate evaluates the ODE at, the start
     # row and an event row, then one for the end of each step that passes
     # the error test: the accepted rows, the step that ends in the event
     # row, and each step that the dense output bound shortened.  A step
-    # start's values are carried over from the previous end, never formed
+    # start's row is carried over from the previous end, never formed
     # again.
     event = sol.status in (RadialStatus.U_HIT_ZERO, RadialStatus.V_HIT_ZERO, RadialStatus.BLOWUP)
     assert len(calls) == len(sol.r) + sum(shortened) + event
@@ -303,14 +337,12 @@ def test_third_derivs_match_reference_on_random_draws():
     for _ in range(20000):
         # p = 4 makes |v|^(p - 1) a cube, which keeps the sign of -0.0
         p, q = (rng.choice((4.0, rng.uniform(1.0, 10.0))) for _ in range(2))
-        args = (
+        r, du, dv, ddu, ddv, u, v = (
             10.0 ** rng.uniform(-6.0, 3.0),
             *(rng.choice((0.0, -0.0, _NAN, _component(rng, True))) for _ in range(6)),
-            p, q, rng.uniform(2.0, 30.0),
         )
-        got = _third_derivs_outcome(_third_derivs, args)
-        assert got == _third_derivs_outcome(_reference_third_derivs, args), args
-        u, v = args[5:7]
+        args = (r, u, v, du, dv, ddu, ddv, p, q, rng.uniform(2.0, 30.0))
+        assert _row_outcome(_row, args) == _row_outcome(_reference_row, args), args
         signed_zero += (v == 0.0 and math.copysign(1.0, v) < 0.0 and p == 4.0) + (
             u == 0.0 and math.copysign(1.0, u) < 0.0 and q == 4.0
         )
@@ -349,9 +381,9 @@ def test_observed_order_on_the_bubble():
     for n in (2, 4, 8):
         h = 2.0 / n
         y = _bubble_553(1.0)
-        k = _rhs(1.0, *y, 5.0, 5.0, 2.0)
+        state = (*y, *_rhs(1.0, *y, 5.0, 5.0, 2.0)[2:])
         for i in range(n):
-            y, k, _ = _dop853_step(1.0 + i * h, h, y, k, 5.0, 5.0, 2.0, 1e-11)
-        errors.append(max(abs(a - b) for a, b in zip(y, _bubble_553(3.0))))
+            state = _dop853_step(1.0 + i * h, h, *state, 5.0, 5.0, 2.0, 1e-11)[:6]
+        errors.append(max(abs(a - b) for a, b in zip(state, _bubble_553(3.0))))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     assert min(orders) >= 7.0, (errors, orders)

@@ -143,15 +143,16 @@ def test_overflowing_series_start_rhs_is_invalid_input():
 
 def test_overflowing_trial_stage_is_a_rejected_step(monkeypatch):
     # |v|**p overflows in the second stage: the kernel gives the step up
-    y, k = (1.0, 1e200, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
-    assert radial._dop853_step(1e-6, 1e-7, y, k, 9.0, 2.0, 4.0, 1e-10) == (None, None, math.inf)
+    state = (1.0, 1e200, 0.0, 0.0, 0.0, 0.0)
+    given_up = (None,) * 6 + (math.inf,)
+    assert radial._dop853_step(1e-6, 1e-7, *state, 9.0, 2.0, 4.0, 1e-10) == given_up
     # integrate rejects such a step and retries at a fifth of it, each time
     # until the step falls below the floor
     trial_h = []
 
     def overflowing(r, h, *args):
         trial_h.append(h)
-        return None, None, math.inf
+        return given_up
 
     monkeypatch.setattr(radial, "_dop853_step", overflowing)
     sol = integrate(SystemParams(3, 3, 13), 1.0, 5.0)
@@ -353,10 +354,13 @@ def test_row_derivatives_at_an_exact_zero_of_v(p):
     # |v|^(p-2) is infinite at v = 0 for p < 2; the terms that carry it, and
     # |v|^(p-3), read 0 there, so the fourth derivative of u is the rest
     r, dm1 = 2.0, 2.0
-    _, (du, _, ddu, _), (dddu, _, fv, _), d45 = radial._node(r, (0.5, 0.0, -0.25, -0.5), p, 1.2, dm1)
+    row = radial._node(r, (0.5, 0.0, -0.25, -0.5), p, 1.2, dm1)
+    _, _, du, dv, ddu, _, dddu, _, d4u, _, _, _ = row
     c = dm1 / r
-    assert fv == 0.0 and all(math.isfinite(x) for x in d45)
-    assert d45[0] == -2.0 * c / r / r * du + 2.0 * c / r * ddu - c * dddu
+    # p |v|^(p-1) is 0 at v = 0, so u''' has no v' term
+    assert dddu == c / r * du - c * ddu and dv != 0.0
+    assert all(math.isfinite(x) for x in row[8:])
+    assert d4u == -2.0 * c / r / r * du + 2.0 * c / r * ddu - c * dddu
 
 
 def test_singular_profile_requires_amplitudes():
