@@ -115,6 +115,26 @@ def _radii(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"need comma-separated numbers, got {text!r}") from None
 
 
+#: the largest -n of grid (points per axis) and of curve: a 300 x 300 grid
+#: takes about 1.6 s and 113 MB, 10000 points of the JL curve about 0.5 s
+#: (CPython 3.11, a 2-vCPU Xeon VM)
+GRID_MAX_N = 300
+CURVE_MAX_N = 10_000
+
+
+def _count(most: int):
+    """The argparse type of an -n: an integer from 2 to most."""
+    def count(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if not 2 <= n <= most:
+            raise argparse.ArgumentTypeError(f"need an integer from 2 to {most}, got {text!r}")
+        return n
+    return count
+
+
 #: one grid/classify CSV row: twelve numbers as _fmt writes them, then six words
 _ROW = ",".join(["%.17g"] * 12 + ["%s"] * 6)
 
@@ -261,7 +281,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("-d", type=float, required=True)
     sp.add_argument("--p-min", type=float, required=True)
     sp.add_argument("--p-max", type=float, required=True)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=_count(CURVE_MAX_N), required=True,
+                    help=f"points on the curve, 2 to {CURVE_MAX_N}")
     add_output(sp)
 
     sp = sub.add_parser("grid", allow_abbrev=False)
@@ -270,7 +291,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p-max", type=float, required=True)
     sp.add_argument("--q-min", type=float, required=True)
     sp.add_argument("--q-max", type=float, required=True)
-    sp.add_argument("-n", "--resolution", type=int, required=True)
+    sp.add_argument("-n", "--resolution", type=_count(GRID_MAX_N), required=True,
+                    help=f"points per axis, 2 to {GRID_MAX_N}")
     add_output(sp)
 
     sp = sub.add_parser("shoot", allow_abbrev=False)

@@ -1,12 +1,14 @@
 import json
 import random
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from lelab import SystemParams, classify, grid_classify, integrate
-from lelab.cli import read_grid_csv, read_radial_csv, run
+from lelab.cli import CURVE_MAX_N, GRID_MAX_N, read_grid_csv, read_radial_csv, run
+from lelab.radial import MAX_ROWS
 
 
 def test_classify_json(capsys):
@@ -301,6 +303,37 @@ def test_unwritable_out_path_exits_2_on_one_line(where, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"lelab: error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag, most", [
+    # no admissible point (p < q everywhere): the count is parsed, the grid stays empty
+    (["grid", "-d", "13", "--p-min", "1.5", "--p-max", "1.5", "--q-min", "2", "--q-max", "3"],
+     "-n/--resolution", GRID_MAX_N),
+    (["curve", "--kind", "hyperbola", "-d", "13", "--p-min", "1.5", "--p-max", "4"], "-n", CURVE_MAX_N),
+])
+def test_point_counts_are_bounded(argv, flag, most, capsys):
+    assert run(argv + ["-n", str(most)]) == 0
+    capsys.readouterr()
+    for n in ("1", str(most + 1), "100000"):
+        rc = run(argv + ["-n", n])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"lelab: error: argument {flag}: need an integer from 2 to {most}, got '{n}'\n"
+
+
+def test_a_run_past_the_row_budget_exits_2_on_one_line(capsys):
+    # at d = 1e8 the steps creep near 1e-13 of r; the run stops at
+    # radial.MAX_ROWS rows, a few seconds, instead of running for hours
+    start = time.perf_counter()
+    rc = run(["shoot", "-p", "3", "-q", "3", "-d", "1e8", "--v0", "1", "--r-max", "5"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"lelab: error: integration needs more than {MAX_ROWS} rows")
+    assert captured.err.count("\n") == 1
+    assert elapsed < 60.0
 
 
 # every subcommand with valid numeric flags, on short ranges

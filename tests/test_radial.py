@@ -163,6 +163,28 @@ def test_overflowing_trial_stage_is_a_rejected_step(monkeypatch):
     assert all(b == 0.2 * a for a, b in zip(trial_h, trial_h[1:]))
 
 
+@pytest.mark.parametrize("triple, v0, r_max, rel_tol, rows", [
+    ((3, 3, 13), 1.0, 1000.0, 1e-11, 349),  # completed at r_max
+    ((3, 3, 3), 1.0, 50.0, 1e-10, 51),  # ends in an event row
+])
+def test_row_budget_refuses_only_a_run_that_needs_more_rows(
+    monkeypatch, triple, v0, r_max, rel_tol, rows
+):
+    monkeypatch.setattr(radial, "MAX_ROWS", rows)
+    assert len(integrate(SystemParams(*triple), v0, r_max, rel_tol).r) == rows
+    monkeypatch.setattr(radial, "MAX_ROWS", rows - 1)
+    with pytest.raises(InvalidInputError, match=f"needs more than {rows - 1} rows"):
+        integrate(SystemParams(*triple), v0, r_max, rel_tol)
+
+
+def test_a_creeping_run_stops_at_the_row_budget(monkeypatch):
+    # at d = 1e8 the steps stay near 1e-13 of r: the run would take hours
+    # and grow without bound; here it stops after a smaller budget
+    monkeypatch.setattr(radial, "MAX_ROWS", 2000)
+    with pytest.raises(InvalidInputError, match="needs more than 2000 rows"):
+        integrate(SystemParams(3, 3, 1e8), 1.0, 5.0, 1e-8)
+
+
 def test_series_start_must_be_positive():
     # v0**9 r_start**2 / (2 d) is about 2e56 at (9, 2, 5): u(r_start) < 0
     with pytest.raises(InvalidInputError, match="series start is not positive"):
