@@ -784,10 +784,11 @@ def integrate(
             f"for u0={u0}, v0={v0}"
         )
     # each row is the one that the dense output bound and the event search
-    # took at its node; the step starts from the last row's first six
+    # took at its node; a step starts from the first six entries of the
+    # last row, held as plain floats
     rows_r = [r]
     rows = [row]
-    u, v, du, dv, ddu, ddv = y[0], y[1], y[2], y[3], row[4], row[5]
+    u, v, du, dv, ddu, ddv = row[:6]
     h = 0.1 * r
     status = RadialStatus.COMPLETED
     event_radius: Optional[float] = None
