@@ -406,7 +406,8 @@ def _dense_error(h, rel_tol, start, end):
     / 256.  With m = 24 (a + b) and n = 24 (a - b), written out in the sums
     s_k and differences e_k of h^k w^(k) at the two ends, that is (|m| +
     |n|) / 12288.  Returns the largest correction over the four tables,
-    each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|).
+    each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|); that maximum
+    is one comparison for the signs of shots, as in _dop853_step.
     """
     u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, d4u0, d4v0, d5u0, d5v0 = start
     u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, d4u1, d4v1, d5u1, d5v1 = end
@@ -427,11 +428,13 @@ def _dense_error(h, rel_tol, start, end):
         # the table of w, then that of w' (its data h times w' and up)
         m = 120.0 * e1 + 60.0 * s2 + 12.0 * e3 + s4
         n = 840.0 * s1 + 180.0 * e2 + 20.0 * s3 + e4 + 1680.0 * (w0 - w1)
-        x = (abs(m) + abs(n)) / (_ATOL_FLOOR + rel_tol * max(abs(w0), abs(w1)))
+        scale = (w1 if w1 > w0 else w0) if w0 > 0.0 and w1 > 0.0 else max(abs(w0), abs(w1))
+        x = (abs(m) + abs(n)) / (_ATOL_FLOOR + rel_tol * scale)
         worst = x if x > worst else worst
         m = 120.0 * e2 + 60.0 * s3 + 12.0 * e4 + s5
         n = 840.0 * s2 + 180.0 * e3 + 20.0 * s4 + e5 + 1680.0 * e1
-        x = (abs(m) + abs(n)) / (h * (_ATOL_FLOOR + rel_tol * max(abs(d0), abs(d1))))
+        scale = (-d1 if d1 < d0 else -d0) if d0 < 0.0 and d1 < 0.0 else max(abs(d0), abs(d1))
+        x = (abs(m) + abs(n)) / (h * (_ATOL_FLOOR + rel_tol * scale))
         worst = x if x > worst else worst
     return worst / 12288.0
 
@@ -455,15 +458,22 @@ def _hull_clear(h, start, end):
     start and end lie strictly inside (0, 1e8).
 
     Level 0 of the event search on the step's _step_data, written out: it
-    runs on every accepted step.  A float average fl(0.5 (x + y)) never
+    runs on every accepted step, so it scales the rows' data itself, as
+    _step_data does.  A float average fl(0.5 (x + y)) never
     leaves [min(x, y), max(x, y)] unless x + y overflows, and then it is
     +-inf of their sign; so every subinterval's control points pass too,
     and _scan_events returns None on the same data.  A non-finite value
     gives False.
     """
+    u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, _, _, _, _ = start
+    u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, _, _, _, _ = end
+    hh = h * h
+    h3 = h**3
     top = BLOWUP_THRESHOLD
-    for data in _step_data(h, start, end):
-        b0, b1, b2, b3, b4, b5, b6, b7 = _control_points(*data)
+    for b0, b1, b2, b3, b4, b5, b6, b7 in (
+        _control_points(u0, h * du0, hh * ddu0, h3 * dddu0, u1, h * du1, hh * ddu1, h3 * dddu1),
+        _control_points(v0, h * dv0, hh * ddv0, h3 * dddv0, v1, h * dv1, hh * ddv1, h3 * dddv1),
+    ):
         if not (0.0 < b0 < top and 0.0 < b1 < top and 0.0 < b2 < top and 0.0 < b3 < top
                 and 0.0 < b4 < top and 0.0 < b5 < top and 0.0 < b6 < top and 0.0 < b7 < top):
             return False
