@@ -406,8 +406,8 @@ def _dense_error(h, rel_tol, start, end):
     / 256.  With m = 24 (a + b) and n = 24 (a - b), written out in the sums
     s_k and differences e_k of h^k w^(k) at the two ends, that is (|m| +
     |n|) / 12288.  Returns the largest correction over the four tables,
-    each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|); that maximum
-    is one comparison for the signs of shots, as in _dop853_step.
+    each divided by 1e-300 + rel_tol max(|w(r0)|, |w(r1)|) (a comparison
+    for the signs of shots, as in _dop853_step).
     """
     u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, d4u0, d4v0, d5u0, d5v0 = start
     u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, d4u1, d4v1, d5u1, d5v1 = end
@@ -457,13 +457,12 @@ def _hull_clear(h, start, end):
     """True when all control points of u and v on the step between the rows
     start and end lie strictly inside (0, 1e8).
 
-    Level 0 of the event search on the step's _step_data, written out: it
-    runs on every accepted step, so it scales the rows' data itself, as
-    _step_data does.  A float average fl(0.5 (x + y)) never
-    leaves [min(x, y), max(x, y)] unless x + y overflows, and then it is
-    +-inf of their sign; so every subinterval's control points pass too,
-    and _scan_events returns None on the same data.  A non-finite value
-    gives False.
+    Level 0 of the event search on the data of _step_data, written out
+    with the scaling inlined: it runs on every accepted step.  A float
+    average fl(0.5 (x + y)) never leaves [min(x, y), max(x, y)] unless
+    x + y overflows, and then it is +-inf of their sign; so every
+    subinterval's control points pass too, and _scan_events returns None
+    on the same data.  A non-finite value gives False.
     """
     u0, v0, du0, dv0, ddu0, ddv0, dddu0, dddv0, _, _, _, _ = start
     u1, v1, du1, dv1, ddu1, ddv1, dddu1, dddv1, _, _, _, _ = end
@@ -794,8 +793,7 @@ def integrate(
             f"for u0={u0}, v0={v0}"
         )
     # each row is the one that the dense output bound and the event search
-    # took at its node; a step starts from the first six entries of the
-    # last row, held as plain floats
+    # took at its node; a step starts from the last row's first six floats
     rows_r = [r]
     rows = [row]
     u, v, du, dv, ddu, ddv = row[:6]
@@ -810,14 +808,10 @@ def integrate(
             event_radius = r
             break
         if len(rows) == MAX_ROWS:
-            raise InvalidInputError(
-                f"integration needs more than {MAX_ROWS} rows; it reached r={r!r} of "
-                f"r_max={r_max!r} with step {h!r}"
-            )
+            raise InvalidInputError(f"integration needs more than {MAX_ROWS} rows "
+                                    f"(r={r!r} of r_max={r_max!r}, step {h!r})")
 
-        u1, v1, du1, dv1, ddu1, ddv1, err = _dop853_step(
-            r, h, u, v, du, dv, ddu, ddv, p, q, dm1, rel_tol
-        )
+        u1, v1, du1, dv1, ddu1, ddv1, err = _dop853_step(r, h, u, v, du, dv, ddu, ddv, p, q, dm1, rel_tol)
         if err > 1.0:
             h *= max(0.2, 0.9 * err**-0.125)
             continue
