@@ -323,7 +323,7 @@ def test_point_counts_are_bounded(argv, flag, most, capsys):
 
 
 def test_a_run_past_the_row_budget_exits_2_on_one_line(capsys):
-    # at d = 1e8 the steps creep near 1e-13 of r; the run stops at
+    # at d = 1e8 the steps creep near 6e-8 r; the run stops at
     # radial.MAX_ROWS rows, a few seconds, instead of running for hours
     start = time.perf_counter()
     rc = run(["shoot", "-p", "3", "-q", "3", "-d", "1e8", "--v0", "1", "--r-max", "5"])

@@ -178,7 +178,7 @@ def test_row_budget_refuses_only_a_run_that_needs_more_rows(
 
 
 def test_a_creeping_run_stops_at_the_row_budget(monkeypatch):
-    # at d = 1e8 the steps stay near 1e-13 of r: the run would take hours
+    # at d = 1e8 the steps stay near 6e-8 r: the run would take hours
     # and grow without bound; here it stops after a smaller budget
     monkeypatch.setattr(radial, "MAX_ROWS", 2000)
     with pytest.raises(InvalidInputError, match="needs more than 2000 rows"):
